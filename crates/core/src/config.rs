@@ -286,6 +286,7 @@ impl CampaignConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbs_netsim::Window;
 
     #[test]
     fn default_tracks_status_and_roster() {
@@ -323,6 +324,25 @@ mod tests {
             ..VantageSpec::new("sick")
         }]);
         assert!(bad.validate().is_err());
+        // So is one whose window covers no round; the error names it.
+        let inverted = CampaignConfig::with_vantages(vec![VantageSpec {
+            fault_plan: Some(FaultPlan {
+                windows: vec![Window {
+                    name: "inv".into(),
+                    start: 10,
+                    end: 5,
+                    payload: fbs_netsim::FaultIntensity {
+                        reply_loss: 0.5,
+                        ..fbs_netsim::FaultIntensity::default()
+                    },
+                }]
+                .into(),
+                ..FaultPlan::none()
+            }),
+            ..VantageSpec::new("late")
+        }]);
+        let err = inverted.validate().expect_err("inverted window");
+        assert!(err.to_string().contains("\"inv\""), "{err}");
     }
 
     #[test]
@@ -337,9 +357,12 @@ mod tests {
             ..IbrConfig::default()
         });
         assert!(bad.validate().is_err());
-        let bad = CampaignConfig::with_ibr(IbrConfig::with_dark_windows(vec![
-            fbs_netsim::IbrDarkWindow { start: 5, end: 5 },
-        ]));
+        let bad =
+            CampaignConfig::with_ibr(IbrConfig::with_dark_windows(vec![Window::over_rounds(
+                "empty",
+                5..5,
+                (),
+            )]));
         assert!(bad.validate().is_err());
     }
 
@@ -389,15 +412,18 @@ mod tests {
         assert!(with.shard_mode());
         assert!(with.validate().is_ok());
         let bad = CampaignConfig::with_shard_plan(ShardFaultPlan {
-            windows: vec![fbs_netsim::ShardFaultWindow {
-                name: "bad".into(),
-                start_round: 0,
-                end_round: 10,
-                shards: Vec::new(),
-                attempts: 1,
-                probability: 2.0,
-                kind: fbs_netsim::ShardFaultKind::Panic,
-            }],
+            windows: vec![Window::over_rounds(
+                "bad",
+                0..10,
+                fbs_netsim::ShardFault {
+                    probability: 2.0,
+                    ..fbs_netsim::ShardFault::scripted(
+                        Vec::new(),
+                        1,
+                        fbs_netsim::ShardFaultKind::Panic,
+                    )
+                },
+            )],
         });
         assert!(bad.validate().is_err());
     }
@@ -417,20 +443,66 @@ mod tests {
             ..CampaignConfig::default()
         };
         assert!(bad.validate().is_err());
-        let bad = CampaignConfig {
+        let feed_window = |rounds, drop| CampaignConfig {
             feed_plan: Some(FeedFaultPlan {
-                windows: vec![fbs_netsim::FeedFaultWindow::over_rounds(
+                windows: vec![Window::over_rounds(
                     "bad",
-                    fbs_types::FeedKind::Bgp,
-                    0..10,
-                    fbs_netsim::FeedFaultIntensity {
-                        drop: -0.5,
-                        ..fbs_netsim::FeedFaultIntensity::default()
+                    rounds,
+                    fbs_netsim::FeedFault {
+                        feed: fbs_types::FeedKind::Bgp,
+                        intensity: fbs_netsim::FeedFaultIntensity {
+                            drop,
+                            ..fbs_netsim::FeedFaultIntensity::default()
+                        },
                     },
                 )],
             }),
             ..CampaignConfig::default()
         };
-        assert!(bad.validate().is_err());
+        assert!(feed_window(0..10, -0.5).validate().is_err());
+        // An empty window never fires: rejected, naming the window.
+        let err = feed_window(7..7, 0.5).validate().expect_err("empty window");
+        assert!(err.to_string().contains("\"bad\""), "{err}");
+    }
+
+    #[test]
+    fn fault_schedules_round_trip_through_json() {
+        let mut cfg =
+            CampaignConfig::with_ibr(IbrConfig::with_dark_windows(vec![Window::over_rounds(
+                "collector",
+                40..50,
+                (),
+            )]));
+        cfg.fault_plan = Some(FaultPlan {
+            windows: vec![Window::over_rounds(
+                "loss",
+                3..9,
+                fbs_netsim::FaultIntensity {
+                    reply_loss: 0.25,
+                    ..fbs_netsim::FaultIntensity::default()
+                },
+            )]
+            .into(),
+            ..FaultPlan::none()
+        });
+        cfg.shard_plan = Some(ShardFaultPlan {
+            windows: vec![Window::over_rounds(
+                "pin",
+                5..6,
+                fbs_netsim::ShardFault::scripted(vec![1], 2, fbs_netsim::ShardFaultKind::Panic),
+            )],
+        });
+        let json = serde_json::to_string(&cfg).expect("serializes");
+        let back: CampaignConfig = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back.fault_plan, cfg.fault_plan);
+        assert_eq!(back.shard_plan, cfg.shard_plan);
+        assert_eq!(back.ibr, cfg.ibr);
+        // A schedule is a plain array of `{name, start, end, payload}`.
+        assert!(
+            json.contains(
+                r#""dark_windows":[{"name":"collector","start":40,"end":50,"payload":null}]"#
+            ),
+            "{json}"
+        );
     }
 }

@@ -1113,22 +1113,17 @@ fn measure_round_timed(
     let mut vantage_scan: Vec<Option<FaultIntensity>> = Vec::new();
     let mut quality;
     if statics.vantages.is_empty() {
-        quality =
-            statics
-                .fault_plan
-                .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
+        quality = statics
+            .fault_plan
+            .quality_at(round, cfg.scan_retries, &cfg.quality);
         if online && quality != RoundQuality::Unusable {
-            single_scan = Some(statics.fault_plan.intensity_at(round, statics.rounds));
+            single_scan = Some(statics.fault_plan.intensity_at(round));
         }
     } else {
         for vs in &statics.vantages {
-            let q = vs
-                .plan
-                .quality_at(round, statics.rounds, cfg.scan_retries, &cfg.quality);
+            let q = vs.plan.quality_at(round, cfg.scan_retries, &cfg.quality);
             vantage_quality.push(q);
-            vantage_scan.push(
-                vantage_usable(online, q).then(|| vs.plan.intensity_at(round, statics.rounds)),
-            );
+            vantage_scan.push(vantage_usable(online, q).then(|| vs.plan.intensity_at(round)));
         }
         // The round's headline quality is the fused verdict: one clean
         // vantage keeps the round usable while another sits behind 100%

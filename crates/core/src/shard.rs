@@ -257,7 +257,7 @@ pub(crate) fn reduce_outcomes<T>(ordered: &[SupervisedShard<T>]) -> ShardObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fbs_netsim::shardfaults::ShardFaultWindow;
+    use fbs_netsim::{ShardFault, Window};
 
     fn as_map(sizes: &[(u32, usize)]) -> Vec<Asn> {
         sizes
@@ -319,12 +319,10 @@ mod tests {
     fn injected_panic_is_isolated_and_retried() {
         let blocks = as_map(&[(1, 128)]);
         let plan = ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
+            windows: vec![Window::over_rounds(
                 "once",
                 5..6,
-                vec![0],
-                1,
-                ShardFaultKind::Panic,
+                ShardFault::scripted(vec![0], 1, ShardFaultKind::Panic),
             )],
         };
         let ex = exec(&blocks, 4, Some(plan));
@@ -357,14 +355,16 @@ mod tests {
     fn stall_past_deadline_times_out_and_exhausts_to_lost() {
         let blocks = as_map(&[(1, 64), (2, 64)]);
         let plan = ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
+            windows: vec![Window::over_rounds(
                 "wedge",
                 9..10,
-                vec![1],
-                u32::MAX,
-                ShardFaultKind::Stall {
-                    extra_ns: 10_000_000_000,
-                },
+                ShardFault::scripted(
+                    vec![1],
+                    u32::MAX,
+                    ShardFaultKind::Stall {
+                        extra_ns: 10_000_000_000,
+                    },
+                ),
             )],
         };
         let ex = exec(&blocks, 2, Some(plan));
@@ -392,12 +392,14 @@ mod tests {
             range.map(|bi| slot as u64 + bi as u64).collect()
         };
         let jittered = ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
+            windows: vec![Window::over_rounds(
                 "slow",
                 0..100,
-                Vec::new(),
-                u32::MAX,
-                ShardFaultKind::Jitter { extra_ns: 1_000 },
+                ShardFault::scripted(
+                    Vec::new(),
+                    u32::MAX,
+                    ShardFaultKind::Jitter { extra_ns: 1_000 },
+                ),
             )],
         };
         let clean: Vec<_> = roster_order(exec(&blocks, 4, None).shard_execute(Round(3), &task))
@@ -435,12 +437,10 @@ mod tests {
                 .collect()
         };
         let flaky = ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
+            windows: vec![Window::over_rounds(
                 "flaky",
                 3..4,
-                vec![0],
-                2,
-                ShardFaultKind::Panic,
+                ShardFault::scripted(vec![0], 2, ShardFaultKind::Panic),
             )],
         };
         let clean: Vec<_> = roster_order(exec(&blocks, 2, None).shard_execute(Round(3), &task))

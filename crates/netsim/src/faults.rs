@@ -9,9 +9,10 @@
 //! the missing hostility:
 //!
 //! * [`FaultIntensity`] — the per-fault probabilities and magnitudes;
-//! * [`FaultWindow`] / [`FaultPlan`] — serde-loadable schedules, so a
-//!   scenario can declare *degraded* vantage windows (e.g. "the first two
-//!   weeks of March ran at 15% reply loss") rather than only offline ones;
+//! * [`FaultPlan`] — a baseline plus a serde-loadable [`Schedule`] of
+//!   intensity windows, so a scenario can declare *degraded* vantage
+//!   windows (e.g. "the first two weeks of March ran at 15% reply loss")
+//!   rather than only offline ones;
 //! * [`FaultyTransport`] — a decorator over any [`Transport`] applying the
 //!   faults deterministically, seeded from the world RNG: identical seed,
 //!   plan and probe sequence ⇒ bit-identical observations.
@@ -22,9 +23,10 @@
 //! faults exactly.
 
 use crate::rng::WorldRng;
+use crate::schedule::{check_probability, Payload, Schedule};
 use fbs_prober::packet::{self, IcmpKind};
 use fbs_prober::{QualityConfig, Transport};
-use fbs_types::{Round, RoundQuality, Timestamp};
+use fbs_types::{Round, RoundQuality};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BinaryHeap};
 
@@ -94,9 +96,13 @@ impl Default for FaultIntensity {
     }
 }
 
-impl FaultIntensity {
+/// A wire-fault window's payload. Overlapping windows combine via
+/// [`FaultIntensity::combine`].
+impl Payload for FaultIntensity {
+    const KIND: &'static str = "fault";
+
     /// Whether every fault is off (the decorator forwards untouched).
-    pub fn is_null(&self) -> bool {
+    fn is_null(&self) -> bool {
         self.probe_loss == 0.0
             && self.reply_loss == 0.0
             && self.duplicate == 0.0
@@ -108,7 +114,7 @@ impl FaultIntensity {
     }
 
     /// Validates that every probability lies in `0..=1`.
-    pub fn validate(&self) -> fbs_types::Result<()> {
+    fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("probe_loss", self.probe_loss),
             ("reply_loss", self.reply_loss),
@@ -118,15 +124,13 @@ impl FaultIntensity {
             ("corrupt", self.corrupt),
             ("unsolicited", self.unsolicited),
         ] {
-            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(fbs_types::FbsError::config(format!(
-                    "fault probability {name}={p} outside 0..=1"
-                )));
-            }
+            check_probability(name, p)?;
         }
         Ok(())
     }
+}
 
+impl FaultIntensity {
     /// Elementwise worst-case combination of two intensities: probabilities
     /// and delays take the maximum; reply budgets take the tighter
     /// (smaller nonzero) limit.
@@ -208,50 +212,6 @@ impl FaultIntensity {
     }
 }
 
-/// One scheduled fault window: an intensity active between two timestamps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultWindow {
-    /// Human-readable label ("march-shelling-loss").
-    pub name: String,
-    /// Window start (inclusive).
-    pub start: Timestamp,
-    /// Window end (exclusive); `None` = until the campaign ends.
-    pub end: Option<Timestamp>,
-    /// The faults active during the window.
-    pub intensity: FaultIntensity,
-}
-
-impl FaultWindow {
-    /// Builds a window covering a round range (test/scenario convenience).
-    pub fn over_rounds(
-        name: impl Into<String>,
-        rounds: std::ops::Range<u32>,
-        intensity: FaultIntensity,
-    ) -> Self {
-        FaultWindow {
-            name: name.into(),
-            start: Round(rounds.start).start(),
-            end: Some(Round(rounds.end).start()),
-            intensity,
-        }
-    }
-
-    /// The rounds the window covers, clamped to `[0, total)`.
-    pub fn round_range(&self, total: u32) -> std::ops::Range<u32> {
-        let s = Round::first_at_or_after(self.start).0.min(total);
-        let e = match self.end {
-            Some(end) => Round::first_at_or_after(end).0.min(total),
-            None => total,
-        };
-        s..e.max(s)
-    }
-
-    /// Whether the window covers `round`.
-    pub fn covers(&self, round: Round, total: u32) -> bool {
-        self.round_range(total).contains(&round.0)
-    }
-}
-
 /// A serde-loadable schedule of fault intensities over the campaign.
 ///
 /// The `baseline` applies to every round; `windows` layer additional
@@ -263,7 +223,7 @@ pub struct FaultPlan {
     /// Always-on fault intensity.
     pub baseline: FaultIntensity,
     /// Scheduled windows of additional faults.
-    pub windows: Vec<FaultWindow>,
+    pub windows: Schedule<FaultIntensity>,
 }
 
 impl FaultPlan {
@@ -276,48 +236,35 @@ impl FaultPlan {
     pub fn constant(intensity: FaultIntensity) -> Self {
         FaultPlan {
             baseline: intensity,
-            windows: Vec::new(),
+            windows: Schedule::none(),
         }
     }
 
     /// Whether the plan injects nothing anywhere.
     pub fn is_null(&self) -> bool {
-        self.baseline.is_null() && self.windows.iter().all(|w| w.intensity.is_null())
+        self.baseline.is_null() && self.windows.is_null()
     }
 
     /// Validates the baseline and every window.
     pub fn validate(&self) -> fbs_types::Result<()> {
-        self.baseline.validate()?;
-        for w in &self.windows {
-            w.intensity.validate().map_err(|e| {
-                fbs_types::FbsError::config(format!("fault window {:?}: {e}", w.name))
-            })?;
-        }
-        Ok(())
+        self.baseline
+            .validate()
+            .map_err(|e| fbs_types::FbsError::config(format!("fault baseline: {e}")))?;
+        self.windows.validate()
     }
 
-    /// The combined intensity active at `round` of a `total`-round campaign.
-    pub fn intensity_at(&self, round: Round, total: u32) -> FaultIntensity {
-        let mut acc = self.baseline;
-        for w in &self.windows {
-            if w.covers(round, total) {
-                acc = acc.combine(&w.intensity);
-            }
-        }
-        acc
+    /// The combined intensity active at `round`.
+    pub fn intensity_at(&self, round: Round) -> FaultIntensity {
+        self.windows
+            .active(round)
+            .fold(self.baseline, |acc, w| acc.combine(&w.payload))
     }
 
     /// Expected quality verdict for `round` given the scanner's retry
     /// budget — what a well-calibrated prober should conclude from its
     /// `ScanStats` under this plan.
-    pub fn quality_at(
-        &self,
-        round: Round,
-        total: u32,
-        retries: u32,
-        quality: &QualityConfig,
-    ) -> RoundQuality {
-        let i = self.intensity_at(round, total);
+    pub fn quality_at(&self, round: Round, retries: u32, quality: &QualityConfig) -> RoundQuality {
+        let i = self.intensity_at(round);
         if i.is_null() {
             return RoundQuality::Ok;
         }
@@ -423,15 +370,8 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     /// Wraps `inner` for `round` with the intensity a plan schedules there.
-    pub fn for_round(
-        inner: T,
-        world_rng: WorldRng,
-        plan: &FaultPlan,
-        round: Round,
-        total_rounds: u32,
-    ) -> Self {
-        let intensity = plan.intensity_at(round, total_rounds);
-        Self::new(inner, world_rng, round, intensity)
+    pub fn for_round(inner: T, world_rng: WorldRng, plan: &FaultPlan, round: Round) -> Self {
+        Self::new(inner, world_rng, round, plan.intensity_at(round))
     }
 
     /// The active intensity.
@@ -615,6 +555,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Window;
     use fbs_prober::scan::loopback::LoopbackTransport;
     use fbs_prober::{ScanConfig, Scanner, TargetSet};
     use fbs_types::Prefix;
@@ -798,22 +739,24 @@ mod tests {
         };
         let plan = FaultPlan {
             baseline: calm,
-            windows: vec![
-                FaultWindow::over_rounds("rough", 10..20, rough),
-                FaultWindow::over_rounds("worse", 15..30, worse),
-            ],
+            windows: Schedule {
+                windows: vec![
+                    Window::over_rounds("rough", 10..20, rough),
+                    Window::over_rounds("worse", 15..30, worse),
+                ],
+            },
         };
         assert!(plan.validate().is_ok());
         assert!(!plan.is_null());
-        assert!(plan.intensity_at(Round(5), 100).is_null());
-        assert_eq!(plan.intensity_at(Round(12), 100).reply_loss, 0.3);
+        assert!(plan.intensity_at(Round(5)).is_null());
+        assert_eq!(plan.intensity_at(Round(12)).reply_loss, 0.3);
         // Overlap takes the worst case of both windows.
-        let both = plan.intensity_at(Round(17), 100);
+        let both = plan.intensity_at(Round(17));
         assert_eq!(both.reply_loss, 0.3);
         assert_eq!(both.corrupt, 0.2);
         assert_eq!(both.icmp_reply_budget, 50);
-        assert_eq!(plan.intensity_at(Round(25), 100).reply_loss, 0.1);
-        assert!(plan.intensity_at(Round(40), 100).is_null());
+        assert_eq!(plan.intensity_at(Round(25)).reply_loss, 0.1);
+        assert!(plan.intensity_at(Round(40)).is_null());
     }
 
     #[test]
@@ -823,22 +766,16 @@ mod tests {
             reply_loss: 0.2,
             ..FaultIntensity::default()
         });
-        assert_eq!(
-            plan.quality_at(Round(0), 100, 0, &q),
-            RoundQuality::Degraded
-        );
+        assert_eq!(plan.quality_at(Round(0), 0, &q), RoundQuality::Degraded);
         // Two retries push the compound delivery rate back above the bar.
-        assert_eq!(plan.quality_at(Round(0), 100, 2, &q), RoundQuality::Ok);
+        assert_eq!(plan.quality_at(Round(0), 2, &q), RoundQuality::Ok);
         let brutal = FaultPlan::constant(FaultIntensity {
             reply_loss: 0.9,
             ..FaultIntensity::default()
         });
+        assert_eq!(brutal.quality_at(Round(0), 0, &q), RoundQuality::Unusable);
         assert_eq!(
-            brutal.quality_at(Round(0), 100, 0, &q),
-            RoundQuality::Unusable
-        );
-        assert_eq!(
-            FaultPlan::none().quality_at(Round(0), 100, 0, &q),
+            FaultPlan::none().quality_at(Round(0), 0, &q),
             RoundQuality::Ok
         );
     }

@@ -8,8 +8,8 @@
 //! This module supplies that hostility for the simulator:
 //!
 //! * [`FeedFaultIntensity`] — per-feed fault probabilities;
-//! * [`FeedFaultWindow`] / [`FeedFaultPlan`] — serde-loadable schedules
-//!   ("the BGP mirror is dark over rounds 200..260");
+//! * [`FeedFaultPlan`] — a serde-loadable [`Schedule`] of per-feed
+//!   windows ("the BGP mirror is dark over rounds 200..260");
 //! * [`deliver`] — the deterministic delivery function: given the pristine
 //!   feed text for a round, returns what the fetch attempt actually sees
 //!   (`None` = the attempt failed outright);
@@ -31,6 +31,7 @@
 
 use crate::geo;
 use crate::rng::WorldRng;
+use crate::schedule::{check_probability, Payload, Schedule};
 use crate::world::World;
 use fbs_delegations::{DelegationFile, DelegationRecord, DelegationStatus};
 use fbs_types::{CivilDate, FeedKind, MonthId, Round};
@@ -87,22 +88,6 @@ impl FeedFaultIntensity {
             && self.delay_attempts == 0
     }
 
-    /// Validates that every probability lies in `0..=1`.
-    pub fn validate(&self) -> fbs_types::Result<()> {
-        for (name, p) in [
-            ("drop", self.drop),
-            ("corrupt_records", self.corrupt_records),
-            ("truncate", self.truncate),
-        ] {
-            if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                return Err(fbs_types::FbsError::config(format!(
-                    "feed fault probability {name}={p} outside 0..=1"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Elementwise worst-case combination (overlapping windows).
     pub fn combine(&self, other: &FeedFaultIntensity) -> FeedFaultIntensity {
         FeedFaultIntensity {
@@ -114,84 +99,43 @@ impl FeedFaultIntensity {
     }
 }
 
-/// One scheduled feed-fault window: an intensity active for one feed over
-/// a round range.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FeedFaultWindow {
-    /// Human-readable label ("march-mirror-outage").
-    pub name: String,
+/// A feed-fault window's payload: an intensity afflicting one feed.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct FeedFault {
     /// Which feed the window afflicts.
     pub feed: FeedKind,
-    /// First affected round (inclusive).
-    pub start: u32,
-    /// First unaffected round; `None` = until the campaign ends.
-    pub end: Option<u32>,
     /// The faults active during the window.
     pub intensity: FeedFaultIntensity,
 }
 
-impl FeedFaultWindow {
-    /// Builds a window covering a round range.
-    pub fn over_rounds(
-        name: impl Into<String>,
-        feed: FeedKind,
-        rounds: std::ops::Range<u32>,
-        intensity: FeedFaultIntensity,
-    ) -> Self {
-        FeedFaultWindow {
-            name: name.into(),
-            feed,
-            start: rounds.start,
-            end: Some(rounds.end),
-            intensity,
-        }
+impl Payload for FeedFault {
+    const KIND: &'static str = "feed fault";
+
+    fn is_null(&self) -> bool {
+        self.intensity.is_null()
     }
 
-    /// Whether the window covers `round`.
-    pub fn covers(&self, round: Round) -> bool {
-        round.0 >= self.start && self.end.is_none_or(|e| round.0 < e)
+    /// Validates that every probability lies in `0..=1`.
+    fn validate(&self) -> Result<(), String> {
+        let i = &self.intensity;
+        check_probability("drop", i.drop)?;
+        check_probability("corrupt_records", i.corrupt_records)?;
+        check_probability("truncate", i.truncate)
     }
 }
 
 /// A serde-loadable schedule of feed faults over the campaign.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct FeedFaultPlan {
-    /// Scheduled windows of feed hostility.
-    pub windows: Vec<FeedFaultWindow>,
-}
+pub type FeedFaultPlan = Schedule<FeedFault>;
 
 impl FeedFaultPlan {
-    /// A plan with no feed faults at all.
-    pub fn none() -> Self {
-        FeedFaultPlan::default()
-    }
-
-    /// Whether the plan injects nothing anywhere.
-    pub fn is_null(&self) -> bool {
-        self.windows.iter().all(|w| w.intensity.is_null())
-    }
-
-    /// Validates every window.
-    pub fn validate(&self) -> fbs_types::Result<()> {
-        for w in &self.windows {
-            w.intensity.validate().map_err(|e| {
-                fbs_types::FbsError::config(format!("feed fault window {:?}: {e}", w.name))
-            })?;
-        }
-        Ok(())
-    }
-
     /// The combined intensity afflicting `kind` at `round` (worst case
-    /// over covering windows).
+    /// over the covering windows for that feed).
     pub fn intensity_at(&self, kind: FeedKind, round: Round) -> FeedFaultIntensity {
-        let mut acc = FeedFaultIntensity::default();
-        for w in &self.windows {
-            if w.feed == kind && w.covers(round) {
-                acc = acc.combine(&w.intensity);
-            }
-        }
-        acc
+        self.active(round)
+            .filter(|w| w.payload.feed == kind)
+            .fold(FeedFaultIntensity::default(), |acc, w| {
+                acc.combine(&w.payload.intensity)
+            })
     }
 }
 
@@ -326,6 +270,7 @@ pub fn delegations_feed_text(world: &World) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::Window;
     use crate::spec::{AsProfile, AsSpec, BlockSpec, WorldConfig, WorldScale};
     use crate::world::World;
     use fbs_types::{Asn, BlockId, Oblast, Prefix};
@@ -363,9 +308,18 @@ mod tests {
         World::new(config, crate::script::Script::new(), vec![]).expect("valid config")
     }
 
+    fn window(
+        name: &str,
+        feed: FeedKind,
+        rounds: std::ops::Range<u32>,
+        intensity: FeedFaultIntensity,
+    ) -> Window<FeedFault> {
+        Window::over_rounds(name, rounds, FeedFault { feed, intensity })
+    }
+
     fn corrupt_window(feed: FeedKind, p: f64) -> FeedFaultPlan {
         FeedFaultPlan {
-            windows: vec![FeedFaultWindow::over_rounds(
+            windows: vec![window(
                 "test",
                 feed,
                 0..60,
@@ -392,7 +346,7 @@ mod tests {
         assert_eq!(got.as_deref(), Some(text));
         // A plan whose windows miss the round is equally transparent.
         let far = FeedFaultPlan {
-            windows: vec![FeedFaultWindow::over_rounds(
+            windows: vec![window(
                 "later",
                 FeedKind::Bgp,
                 50..60,
@@ -417,7 +371,7 @@ mod tests {
     fn dropped_rounds_fail_every_attempt() {
         let rng = feed_domain(WorldRng::new(5));
         let plan = FeedFaultPlan {
-            windows: vec![FeedFaultWindow::over_rounds(
+            windows: vec![window(
                 "dark",
                 FeedKind::Bgp,
                 10..20,
@@ -440,7 +394,7 @@ mod tests {
     fn delayed_delivery_recovers_on_retry() {
         let rng = feed_domain(WorldRng::new(5));
         let plan = FeedFaultPlan {
-            windows: vec![FeedFaultWindow::over_rounds(
+            windows: vec![window(
                 "slow",
                 FeedKind::Geo,
                 0..60,
@@ -496,7 +450,7 @@ mod tests {
     fn truncation_keeps_a_prefix_with_a_half_written_cut_line() {
         let rng = feed_domain(WorldRng::new(11));
         let plan = FeedFaultPlan {
-            windows: vec![FeedFaultWindow::over_rounds(
+            windows: vec![window(
                 "broken-transfer",
                 FeedKind::Bgp,
                 0..60,
@@ -534,7 +488,7 @@ mod tests {
             windows: FeedKind::ALL
                 .iter()
                 .map(|k| {
-                    FeedFaultWindow::over_rounds(
+                    window(
                         "half-drop",
                         *k,
                         0..60,
@@ -558,25 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_validation_and_combination() {
-        let bad = FeedFaultPlan {
-            windows: vec![FeedFaultWindow::over_rounds(
-                "bad",
-                FeedKind::Bgp,
-                0..10,
-                FeedFaultIntensity {
-                    drop: 1.5,
-                    ..FeedFaultIntensity::default()
-                },
-            )],
-        };
-        assert!(bad.validate().is_err());
-        assert!(FeedFaultPlan::none().validate().is_ok());
-        assert!(FeedFaultPlan::none().is_null());
-        // Overlapping windows combine worst-case.
+    fn overlapping_windows_combine_worst_case_per_feed() {
         let plan = FeedFaultPlan {
             windows: vec![
-                FeedFaultWindow::over_rounds(
+                window(
                     "a",
                     FeedKind::Bgp,
                     0..20,
@@ -586,7 +525,7 @@ mod tests {
                         ..FeedFaultIntensity::default()
                     },
                 ),
-                FeedFaultWindow::over_rounds(
+                window(
                     "b",
                     FeedKind::Bgp,
                     10..30,
@@ -603,19 +542,6 @@ mod tests {
         assert_eq!(i.corrupt_records, 0.05);
         assert_eq!(i.delay_attempts, 2);
         assert!(plan.intensity_at(FeedKind::Geo, Round(15)).is_null());
-        // Open-ended windows run to the end of the campaign.
-        let open = FeedFaultWindow {
-            name: "forever".into(),
-            feed: FeedKind::Geo,
-            start: 5,
-            end: None,
-            intensity: FeedFaultIntensity {
-                drop: 1.0,
-                ..FeedFaultIntensity::default()
-            },
-        };
-        assert!(!open.covers(Round(4)));
-        assert!(open.covers(Round(4000)));
     }
 
     #[test]

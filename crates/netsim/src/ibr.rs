@@ -25,6 +25,7 @@
 //! draws — IBR-disabled campaigns stay bit-identical.
 
 use crate::rng::WorldRng;
+use crate::schedule::{check_probability, Schedule, Window};
 use crate::world::World;
 use fbs_types::Round;
 use serde::{Deserialize, Serialize};
@@ -38,25 +39,6 @@ mod salt {
     pub const GAIN: u64 = 0xFC02;
     /// Backscatter burst arrival.
     pub const BURST: u64 = 0xFC03;
-}
-
-/// One scheduled window in which the darknet collector itself is dark:
-/// no IBR is observed at all, for any AS. The passive path's analogue of
-/// a vantage blackout — the predictor must *freeze*, not read silence as
-/// a country-wide outage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct IbrDarkWindow {
-    /// First dark round (inclusive).
-    pub start: u32,
-    /// First observed round after the window (exclusive).
-    pub end: u32,
-}
-
-impl IbrDarkWindow {
-    /// Whether the collector is dark at `round`.
-    pub fn covers(&self, round: Round) -> bool {
-        round.0 >= self.start && round.0 < self.end
-    }
 }
 
 /// Configuration of the passive background-radiation signal.
@@ -76,9 +58,12 @@ pub struct IbrConfig {
     /// episodes rather than as a steady hum. Raises round-to-round
     /// variance without moving the mean.
     pub backscatter_share: f64,
-    /// Scheduled collector outages. During a dark window no volume is
-    /// observed for any AS; the round is recorded as *dark*, not as zero.
-    pub dark_windows: Vec<IbrDarkWindow>,
+    /// Scheduled collector outages: the darknet itself failing, the
+    /// passive path's analogue of a vantage blackout. During a dark window
+    /// no volume is observed for any AS; the round is recorded as *dark*,
+    /// not as zero, and the predictor must freeze rather than read silence
+    /// as a country-wide outage.
+    pub dark_windows: Schedule<()>,
 }
 
 impl Default for IbrConfig {
@@ -86,16 +71,16 @@ impl Default for IbrConfig {
         IbrConfig {
             rate_per_responder: 24.0,
             backscatter_share: 0.3,
-            dark_windows: Vec::new(),
+            dark_windows: Schedule::none(),
         }
     }
 }
 
 impl IbrConfig {
     /// A config with the collector dark over the given round windows.
-    pub fn with_dark_windows(windows: Vec<IbrDarkWindow>) -> Self {
+    pub fn with_dark_windows(windows: Vec<Window<()>>) -> Self {
         IbrConfig {
-            dark_windows: windows,
+            dark_windows: Schedule { windows },
             ..IbrConfig::default()
         }
     }
@@ -108,26 +93,14 @@ impl IbrConfig {
                 self.rate_per_responder
             )));
         }
-        if !(0.0..=1.0).contains(&self.backscatter_share) || !self.backscatter_share.is_finite() {
-            return Err(fbs_types::FbsError::config(format!(
-                "ibr backscatter_share={} outside 0..=1",
-                self.backscatter_share
-            )));
-        }
-        for w in &self.dark_windows {
-            if w.start >= w.end {
-                return Err(fbs_types::FbsError::config(format!(
-                    "ibr dark window {}..{} is empty or inverted",
-                    w.start, w.end
-                )));
-            }
-        }
-        Ok(())
+        check_probability("ibr backscatter_share", self.backscatter_share)
+            .map_err(fbs_types::FbsError::config)?;
+        self.dark_windows.validate()
     }
 
     /// Whether the darknet collector is dark at `round`.
     pub fn dark_at(&self, round: Round) -> bool {
-        self.dark_windows.iter().any(|w| w.covers(round))
+        self.dark_windows.covers(round)
     }
 }
 
@@ -242,21 +215,6 @@ mod tests {
             ..IbrConfig::default()
         };
         assert!(bad.validate().is_err());
-        let bad = IbrConfig::with_dark_windows(vec![IbrDarkWindow { start: 10, end: 10 }]);
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn dark_windows_cover_their_rounds() {
-        let cfg = IbrConfig::with_dark_windows(vec![IbrDarkWindow {
-            start: 100,
-            end: 140,
-        }]);
-        assert!(!cfg.dark_at(Round(99)));
-        assert!(cfg.dark_at(Round(100)));
-        assert!(cfg.dark_at(Round(139)));
-        assert!(!cfg.dark_at(Round(140)));
-        assert!(!IbrConfig::default().dark_at(Round(100)));
     }
 
     #[test]

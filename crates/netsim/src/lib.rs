@@ -34,6 +34,7 @@ pub mod geo;
 pub mod ibr;
 pub mod power;
 pub mod rng;
+pub mod schedule;
 pub mod script;
 pub mod shardfaults;
 pub mod spec;
@@ -41,13 +42,14 @@ pub mod transport;
 pub mod vantage;
 pub mod world;
 
-pub use faults::{FaultIntensity, FaultPlan, FaultStats, FaultWindow, FaultyTransport};
-pub use feedfaults::{FeedFaultIntensity, FeedFaultPlan, FeedFaultWindow};
-pub use ibr::{block_volume, ibr_domain, IbrConfig, IbrDarkWindow};
+pub use faults::{FaultIntensity, FaultPlan, FaultStats, FaultyTransport};
+pub use feedfaults::{FeedFault, FeedFaultIntensity, FeedFaultPlan};
+pub use ibr::{block_volume, ibr_domain, IbrConfig};
 pub use power::{PowerCalendar, StrikeEvent};
 pub use rng::WorldRng;
+pub use schedule::{Payload, Schedule, Window};
 pub use script::{EventKind, EventTarget, Script, ScriptedEvent};
-pub use shardfaults::{shards_domain, ShardFaultKind, ShardFaultPlan, ShardFaultWindow};
+pub use shardfaults::{shards_domain, ShardFault, ShardFaultKind, ShardFaultPlan};
 pub use spec::{AsProfile, AsSpec, BlockSpec, WorldConfig, WorldScale};
 pub use transport::WorldTransport;
 pub use vantage::{VantageSpec, VantageTransport};

@@ -22,6 +22,7 @@
 //! campaign replays the same panics in the same places.
 
 use crate::rng::WorldRng;
+use crate::schedule::{check_probability, Payload, Schedule};
 use fbs_types::Round;
 use serde::{Deserialize, Serialize};
 
@@ -52,16 +53,10 @@ pub enum ShardFaultKind {
     },
 }
 
-/// One scripted shard-fault window: a fault striking specific shards over
-/// a round range, for a bounded number of attempts.
+/// A shard-fault window's payload: a fault striking specific shards for a
+/// bounded number of attempts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardFaultWindow {
-    /// Human-readable label ("round-90-panic").
-    pub name: String,
-    /// First round the window covers (inclusive).
-    pub start_round: u32,
-    /// First round past the window (exclusive).
-    pub end_round: u32,
+pub struct ShardFault {
     /// Shard slots the fault strikes; empty = every shard.
     #[serde(default)]
     pub shards: Vec<u32>,
@@ -87,20 +82,11 @@ fn always() -> f64 {
     1.0
 }
 
-impl ShardFaultWindow {
-    /// Builds a deterministic always-striking window over a round range
-    /// and shard set (test/scenario convenience).
-    pub fn scripted(
-        name: impl Into<String>,
-        rounds: std::ops::Range<u32>,
-        shards: Vec<u32>,
-        attempts: u32,
-        kind: ShardFaultKind,
-    ) -> Self {
-        ShardFaultWindow {
-            name: name.into(),
-            start_round: rounds.start,
-            end_round: rounds.end,
+impl ShardFault {
+    /// A deterministic always-striking fault on a shard set
+    /// (test/scenario convenience).
+    pub fn scripted(shards: Vec<u32>, attempts: u32, kind: ShardFaultKind) -> Self {
+        ShardFault {
             shards,
             attempts,
             probability: 1.0,
@@ -108,17 +94,23 @@ impl ShardFaultWindow {
         }
     }
 
-    /// The rounds the window covers (half-open).
-    pub fn rounds(&self) -> std::ops::Range<u32> {
-        self.start_round..self.end_round
-    }
-
-    /// Whether the window covers `(round, shard, attempt)` before the
+    /// Whether the fault targets `(shard, attempt)` before the
     /// probabilistic draw.
-    fn covers(&self, round: Round, shard: u32, attempt: u32) -> bool {
-        self.rounds().contains(&round.0)
-            && attempt < self.attempts
-            && (self.shards.is_empty() || self.shards.contains(&shard))
+    fn targets(&self, shard: u32, attempt: u32) -> bool {
+        attempt < self.attempts && (self.shards.is_empty() || self.shards.contains(&shard))
+    }
+}
+
+impl Payload for ShardFault {
+    const KIND: &'static str = "shard fault";
+
+    /// Validates the probability and that the fault strikes at least once.
+    fn validate(&self) -> Result<(), String> {
+        check_probability("probability", self.probability)?;
+        if self.attempts == 0 {
+            return Err("attempts=0 never strikes".into());
+        }
+        Ok(())
     }
 }
 
@@ -127,50 +119,9 @@ impl ShardFaultWindow {
 /// The first window covering a `(round, shard, attempt)` coordinate wins,
 /// so a plan can layer a broad low-probability jitter window under a
 /// pinpoint scripted panic without the two compounding.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct ShardFaultPlan {
-    /// Scheduled fault windows, earliest-listed wins on overlap.
-    pub windows: Vec<ShardFaultWindow>,
-}
+pub type ShardFaultPlan = Schedule<ShardFault>;
 
 impl ShardFaultPlan {
-    /// A plan injecting nothing anywhere.
-    pub fn none() -> Self {
-        ShardFaultPlan::default()
-    }
-
-    /// Whether the plan injects nothing anywhere.
-    pub fn is_null(&self) -> bool {
-        self.windows.is_empty()
-    }
-
-    /// Validates every window: probabilities in `0..=1`, at least one
-    /// striking attempt, a non-empty round range.
-    pub fn validate(&self) -> fbs_types::Result<()> {
-        for w in &self.windows {
-            if !(0.0..=1.0).contains(&w.probability) || !w.probability.is_finite() {
-                return Err(fbs_types::FbsError::config(format!(
-                    "shard fault window {:?}: probability {} outside 0..=1",
-                    w.name, w.probability
-                )));
-            }
-            if w.attempts == 0 {
-                return Err(fbs_types::FbsError::config(format!(
-                    "shard fault window {:?}: attempts=0 never strikes",
-                    w.name
-                )));
-            }
-            if w.rounds().is_empty() {
-                return Err(fbs_types::FbsError::config(format!(
-                    "shard fault window {:?}: empty round range {}..{}",
-                    w.name, w.start_round, w.end_round
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// The fault striking `(round, shard, attempt)`, if any.
     ///
     /// `rng` must be the `"shards"` domain (see [`shards_domain`]): the
@@ -183,22 +134,19 @@ impl ShardFaultPlan {
         shard: u32,
         attempt: u32,
     ) -> Option<ShardFaultKind> {
-        for w in &self.windows {
-            if !w.covers(round, shard, attempt) {
-                continue;
-            }
-            if w.probability >= 1.0
-                || rng.chance3(
-                    w.probability,
-                    round.0 as u64,
-                    shard as u64,
-                    salt::TRIGGER.wrapping_add(attempt as u64),
-                )
-            {
-                return Some(w.kind);
-            }
-        }
-        None
+        self.active(round)
+            .map(|w| &w.payload)
+            .find(|f| {
+                f.targets(shard, attempt)
+                    && (f.probability >= 1.0
+                        || rng.chance3(
+                            f.probability,
+                            round.0 as u64,
+                            shard as u64,
+                            salt::TRIGGER.wrapping_add(attempt as u64),
+                        ))
+            })
+            .map(|f| f.kind)
     }
 }
 
@@ -226,16 +174,21 @@ pub fn injected_panic(window: &str, round: Round, shard: u32, attempt: u32) -> !
 mod tests {
     use super::*;
     use crate::faults::fault_domain;
+    use crate::schedule::Window;
+
+    fn scripted(
+        name: &str,
+        rounds: std::ops::Range<u32>,
+        shards: Vec<u32>,
+        attempts: u32,
+        kind: ShardFaultKind,
+    ) -> Window<ShardFault> {
+        Window::over_rounds(name, rounds, ShardFault::scripted(shards, attempts, kind))
+    }
 
     fn panic_plan() -> ShardFaultPlan {
         ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
-                "w",
-                10..20,
-                vec![2],
-                1,
-                ShardFaultKind::Panic,
-            )],
+            windows: vec![scripted("w", 10..20, vec![2], 1, ShardFaultKind::Panic)],
         }
     }
 
@@ -263,7 +216,7 @@ mod tests {
     fn empty_shard_list_strikes_every_shard() {
         let rng = shards_domain(WorldRng::new(42));
         let plan = ShardFaultPlan {
-            windows: vec![ShardFaultWindow::scripted(
+            windows: vec![scripted(
                 "all",
                 5..6,
                 Vec::new(),
@@ -284,8 +237,8 @@ mod tests {
         let rng = shards_domain(WorldRng::new(42));
         let plan = ShardFaultPlan {
             windows: vec![
-                ShardFaultWindow::scripted("pin", 10..11, vec![0], 1, ShardFaultKind::Panic),
-                ShardFaultWindow::scripted(
+                scripted("pin", 10..11, vec![0], 1, ShardFaultKind::Panic),
+                scripted(
                     "broad",
                     0..100,
                     Vec::new(),
@@ -308,15 +261,14 @@ mod tests {
     #[test]
     fn probabilistic_draws_are_deterministic_and_seed_sensitive() {
         let plan = ShardFaultPlan {
-            windows: vec![ShardFaultWindow {
-                name: "coin".into(),
-                start_round: 0,
-                end_round: 1000,
-                shards: Vec::new(),
-                attempts: 1,
-                probability: 0.5,
-                kind: ShardFaultKind::Panic,
-            }],
+            windows: vec![Window::over_rounds(
+                "coin",
+                0..1000,
+                ShardFault {
+                    probability: 0.5,
+                    ..ShardFault::scripted(Vec::new(), 1, ShardFaultKind::Panic)
+                },
+            )],
         };
         let a = shards_domain(WorldRng::new(42));
         let b = shards_domain(WorldRng::new(42));
@@ -343,22 +295,5 @@ mod tests {
             stream(&wire),
             "shard faults must not correlate with wire faults"
         );
-    }
-
-    #[test]
-    fn validate_rejects_bad_windows() {
-        let mut plan = panic_plan();
-        assert!(plan.validate().is_ok());
-        plan.windows[0].probability = 1.5;
-        assert!(plan.validate().is_err());
-        plan.windows[0].probability = 1.0;
-        plan.windows[0].attempts = 0;
-        assert!(plan.validate().is_err());
-        plan.windows[0].attempts = 1;
-        plan.windows[0].start_round = 10;
-        plan.windows[0].end_round = 10;
-        assert!(plan.validate().is_err());
-        assert!(ShardFaultPlan::none().validate().is_ok());
-        assert!(ShardFaultPlan::none().is_null());
     }
 }

@@ -2,8 +2,8 @@
 //! independence, and modifier correctness under arbitrary configurations.
 
 use fbs_netsim::{
-    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultyTransport, Script,
-    ScriptedEvent, World, WorldConfig, WorldRng, WorldScale,
+    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultyTransport, Payload,
+    Script, ScriptedEvent, World, WorldConfig, WorldRng, WorldScale,
 };
 use fbs_prober::scan::loopback::LoopbackTransport;
 use fbs_prober::{ScanConfig, Scanner, TargetSet};

@@ -15,7 +15,7 @@
 #![forbid(unsafe_code)]
 
 use ukraine_fbs::core::dataset::vantage_disagreement_csv;
-use ukraine_fbs::netsim::{FaultIntensity, FaultPlan, FaultWindow, VantageSpec};
+use ukraine_fbs::netsim::{FaultIntensity, FaultPlan, VantageSpec, Window};
 use ukraine_fbs::prelude::*;
 
 fn main() {
@@ -34,14 +34,15 @@ fn main() {
     let dark_window = rounds / 3..2 * rounds / 3;
     let blackout = FaultPlan {
         baseline: FaultIntensity::default(),
-        windows: vec![FaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "frankfurt-dark",
             dark_window.clone(),
             FaultIntensity {
                 reply_loss: 1.0,
                 ..FaultIntensity::default()
             },
-        )],
+        )]
+        .into(),
     };
     let congested = FaultPlan::constant(FaultIntensity {
         reply_loss: 0.50,

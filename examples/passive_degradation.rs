@@ -17,8 +17,8 @@
 
 use ukraine_fbs::core::dataset::ibr_signal_csv;
 use ukraine_fbs::netsim::{
-    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, FaultWindow,
-    IbrConfig, Script, ScriptedEvent, VantageSpec, World, WorldConfig, WorldScale,
+    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, IbrConfig,
+    Script, ScriptedEvent, VantageSpec, Window, World, WorldConfig, WorldScale,
 };
 use ukraine_fbs::prelude::*;
 use ukraine_fbs::types::{Oblast, Prefix};
@@ -77,14 +77,15 @@ fn main() {
     // over the whole window — including the scripted outage inside it.
     let blackout = FaultPlan {
         baseline: FaultIntensity::default(),
-        windows: vec![FaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "all-vantages-dark",
             VANTAGE_DARK,
             FaultIntensity {
                 reply_loss: 1.0,
                 ..FaultIntensity::default()
             },
-        )],
+        )]
+        .into(),
     };
     let mut cfg = CampaignConfig::with_vantages(
         ["kyiv", "warsaw", "frankfurt"]

@@ -9,9 +9,9 @@
 
 use ukraine_fbs::core::{CheckpointPolicy, DisagreementSummary, ShardRoundSummary};
 use ukraine_fbs::netsim::{
-    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, FaultWindow,
-    FaultyTransport, FeedFaultIntensity, FeedFaultPlan, FeedFaultWindow, IbrConfig, IbrDarkWindow,
-    Script, ScriptedEvent, ShardFaultKind, ShardFaultPlan, ShardFaultWindow, VantageSpec, World,
+    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan,
+    FaultyTransport, FeedFault, FeedFaultIntensity, FeedFaultPlan, IbrConfig, Script,
+    ScriptedEvent, ShardFault, ShardFaultKind, ShardFaultPlan, VantageSpec, Window, World,
     WorldConfig, WorldScale, WorldTransport,
 };
 use ukraine_fbs::prelude::*;
@@ -67,7 +67,7 @@ fn world(seed: u64, events: Vec<ScriptedEvent>) -> World {
 fn chaos_plan() -> FaultPlan {
     FaultPlan {
         baseline: FaultIntensity::default(),
-        windows: vec![FaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "chaos-matrix",
             FAULT_WINDOW,
             FaultIntensity {
@@ -77,7 +77,8 @@ fn chaos_plan() -> FaultPlan {
                 reorder_jitter_ns: 5_000_000,
                 ..FaultIntensity::default()
             },
-        )],
+        )]
+        .into(),
     }
 }
 
@@ -241,13 +242,8 @@ fn wire_path_faults_only_remove_responders() {
     let (clean_obs, _) = scanner.scan_round(round, &targets, &mut WorldTransport::new(&w, round));
 
     let scan_faulty = || {
-        let mut t = FaultyTransport::for_round(
-            WorldTransport::new(&w, round),
-            w.rng(),
-            &plan,
-            round,
-            ROUNDS,
-        );
+        let mut t =
+            FaultyTransport::for_round(WorldTransport::new(&w, round), w.rng(), &plan, round);
         let (obs, stats) = scanner.scan_round(round, &targets, &mut t);
         (obs, stats, t.stats)
     };
@@ -284,13 +280,15 @@ fn feed_config(feed_plan: FeedFaultPlan) -> CampaignConfig {
 
 fn bgp_dark_plan(rounds: std::ops::Range<u32>) -> FeedFaultPlan {
     FeedFaultPlan {
-        windows: vec![FeedFaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "bgp-mirror-dark",
-            FeedKind::Bgp,
             rounds,
-            FeedFaultIntensity {
-                drop: 1.0,
-                ..FeedFaultIntensity::default()
+            FeedFault {
+                feed: FeedKind::Bgp,
+                intensity: FeedFaultIntensity {
+                    drop: 1.0,
+                    ..FeedFaultIntensity::default()
+                },
             },
         )],
     }
@@ -428,13 +426,15 @@ fn corrupted_records_cause_no_spurious_outages() {
     // tolerance — rejected deliveries and quarantined records must both
     // resolve to carry-forward, never to an outage.
     let plan = FeedFaultPlan {
-        windows: vec![FeedFaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "bgp-rot",
-            FeedKind::Bgp,
             FAULT_WINDOW,
-            FeedFaultIntensity {
-                corrupt_records: 0.05,
-                ..FeedFaultIntensity::default()
+            FeedFault {
+                feed: FeedKind::Bgp,
+                intensity: FeedFaultIntensity {
+                    corrupt_records: 0.05,
+                    ..FeedFaultIntensity::default()
+                },
             },
         )],
     };
@@ -482,13 +482,15 @@ fn stale_geo_month_freezes_classification() {
     );
     let due = w.month_rounds(months[1]).start;
     let plan = FeedFaultPlan {
-        windows: vec![FeedFaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "geo-mirror-dark",
-            FeedKind::Geo,
             due..due + 1,
-            FeedFaultIntensity {
-                drop: 1.0,
-                ..FeedFaultIntensity::default()
+            FeedFault {
+                feed: FeedKind::Geo,
+                intensity: FeedFaultIntensity {
+                    drop: 1.0,
+                    ..FeedFaultIntensity::default()
+                },
             },
         )],
     };
@@ -549,14 +551,15 @@ const VANTAGE_DARK: std::ops::Range<u32> = 200..440;
 fn vantage_blackout_plan() -> FaultPlan {
     FaultPlan {
         baseline: FaultIntensity::default(),
-        windows: vec![FaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "vantage-dark",
             VANTAGE_DARK,
             FaultIntensity {
                 reply_loss: 1.0,
                 ..FaultIntensity::default()
             },
-        )],
+        )]
+        .into(),
     }
 }
 
@@ -898,10 +901,11 @@ fn dark_darknet_freezes_instead_of_fabricating() {
     // records the gap as Dark, not as zero-volume Observed.
     const DARKNET_DARK: std::ops::Range<u32> = 250..310;
     let mut cfg = campaign_config(None);
-    cfg.ibr = Some(IbrConfig::with_dark_windows(vec![IbrDarkWindow {
-        start: DARKNET_DARK.start,
-        end: DARKNET_DARK.end,
-    }]));
+    cfg.ibr = Some(IbrConfig::with_dark_windows(vec![Window::over_rounds(
+        "darknet-dark",
+        DARKNET_DARK,
+        (),
+    )]));
     let go = || run_cfg(world(11, vec![]), cfg.clone());
     let report = go();
 
@@ -1026,28 +1030,26 @@ fn world_two_shards(seed: u64, events: Vec<ScriptedEvent>) -> World {
 fn shard_chaos_plan() -> ShardFaultPlan {
     ShardFaultPlan {
         windows: vec![
-            ShardFaultWindow::scripted(
+            Window::over_rounds(
                 "shard-retry",
                 SHARD_RETRY,
-                vec![1],
-                1,
-                ShardFaultKind::Panic,
+                ShardFault::scripted(vec![1], 1, ShardFaultKind::Panic),
             ),
-            ShardFaultWindow::scripted(
+            Window::over_rounds(
                 "shard-panic",
                 SHARD_PANIC,
-                vec![1],
-                3,
-                ShardFaultKind::Panic,
+                ShardFault::scripted(vec![1], 3, ShardFaultKind::Panic),
             ),
-            ShardFaultWindow::scripted(
+            Window::over_rounds(
                 "shard-stall",
                 SHARD_STALL,
-                vec![1],
-                3,
-                ShardFaultKind::Stall {
-                    extra_ns: 2_000_000_000,
-                },
+                ShardFault::scripted(
+                    vec![1],
+                    3,
+                    ShardFaultKind::Stall {
+                        extra_ns: 2_000_000_000,
+                    },
+                ),
             ),
         ],
     }

@@ -13,8 +13,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ukraine_fbs::core::checkpoint::{JOURNAL_FILE, SNAPSHOT_FILE};
 use ukraine_fbs::core::{CheckpointPolicy, DisagreementSummary};
 use ukraine_fbs::netsim::{
-    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, FaultWindow,
-    IbrConfig, IbrDarkWindow, Script, ScriptedEvent, VantageSpec, World, WorldConfig, WorldScale,
+    AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, IbrConfig,
+    Script, ScriptedEvent, VantageSpec, Window, World, WorldConfig, WorldScale,
 };
 use ukraine_fbs::prelude::*;
 use ukraine_fbs::types::{Oblast, Prefix};
@@ -65,7 +65,7 @@ fn world(seed: u64, events: Vec<ScriptedEvent>) -> World {
 fn chaos_plan() -> FaultPlan {
     FaultPlan {
         baseline: FaultIntensity::default(),
-        windows: vec![FaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "chaos-matrix",
             100..500,
             FaultIntensity {
@@ -75,7 +75,8 @@ fn chaos_plan() -> FaultPlan {
                 reorder_jitter_ns: 5_000_000,
                 ..FaultIntensity::default()
             },
-        )],
+        )]
+        .into(),
     }
 }
 
@@ -109,14 +110,15 @@ fn multi_vantage_campaign() -> Campaign {
     };
     let blackout = FaultPlan {
         baseline: FaultIntensity::default(),
-        windows: vec![FaultWindow::over_rounds(
+        windows: vec![Window::over_rounds(
             "vantage-dark",
             200..440,
             FaultIntensity {
                 reply_loss: 1.0,
                 ..FaultIntensity::default()
             },
-        )],
+        )]
+        .into(),
     };
     let mut cfg = CampaignConfig::without_baseline();
     cfg.tracked.clear();
@@ -159,10 +161,11 @@ fn ibr_campaign() -> Campaign {
             ..VantageSpec::new("warsaw")
         },
     ];
-    cfg.ibr = Some(IbrConfig::with_dark_windows(vec![IbrDarkWindow {
-        start: 150,
-        end: 186,
-    }]));
+    cfg.ibr = Some(IbrConfig::with_dark_windows(vec![Window::over_rounds(
+        "darknet-dark",
+        150..186,
+        (),
+    )]));
     Campaign::new(world(11, vec![outage]), cfg).expect("valid config")
 }
 
