@@ -12,18 +12,24 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use ukraine_fbs::core::checkpoint::{JOURNAL_FILE, SNAPSHOT_FILE};
 use ukraine_fbs::core::{CheckpointPolicy, DisagreementSummary};
+use ukraine_fbs::journal::{write_snapshot, Journal, WAL_MAGIC};
 use ukraine_fbs::netsim::{
     AsProfile, AsSpec, BlockSpec, EventKind, EventTarget, FaultIntensity, FaultPlan, IbrConfig,
     Script, ScriptedEvent, VantageSpec, Window, World, WorldConfig, WorldScale,
 };
 use ukraine_fbs::prelude::*;
-use ukraine_fbs::types::{Oblast, Prefix};
+use ukraine_fbs::types::{FbsError, Oblast, Prefix};
 
 const ROUNDS: u32 = 600; // 50 days at 12 rounds/day
 
 /// The quiet one-AS world of the chaos matrix: the only sources of events
 /// are scripted outages and injected faults.
 fn world(seed: u64, events: Vec<ScriptedEvent>) -> World {
+    world_of(seed, ROUNDS, events)
+}
+
+/// [`world`] spanning `rounds` rounds instead of [`ROUNDS`].
+fn world_of(seed: u64, rounds: u32, events: Vec<ScriptedEvent>) -> World {
     let asn = Asn(100);
     let blocks: Vec<BlockSpec> = (0..8u8)
         .map(|c| BlockSpec {
@@ -41,7 +47,7 @@ fn world(seed: u64, events: Vec<ScriptedEvent>) -> World {
     let config = WorldConfig {
         seed,
         scale: WorldScale::Tiny,
-        rounds: ROUNDS,
+        rounds,
         ases: vec![AsSpec {
             asn,
             name: "resume-test".into(),
@@ -81,6 +87,11 @@ fn chaos_plan() -> FaultPlan {
 }
 
 fn chaos_campaign() -> Campaign {
+    chaos_campaign_of(ROUNDS)
+}
+
+/// [`chaos_campaign`] over a world of `rounds` rounds.
+fn chaos_campaign_of(rounds: u32) -> Campaign {
     let outage = ScriptedEvent {
         name: "scripted-outage".into(),
         target: EventTarget::As(Asn(100)),
@@ -92,7 +103,7 @@ fn chaos_campaign() -> Campaign {
     cfg.tracked.clear();
     cfg.rtt_tracked.clear();
     cfg.fault_plan = Some(chaos_plan());
-    Campaign::new(world(11, vec![outage]), cfg).expect("valid config")
+    Campaign::new(world_of(11, rounds, vec![outage]), cfg).expect("valid config")
 }
 
 /// The chaos campaign scanned from three vantage points: one clean, one
@@ -565,5 +576,144 @@ fn v3_checkpoint_resumes_as_an_ibr_disabled_campaign() {
     assert!(diag.journal.was_clean());
     assert!(resumed.ibr.is_empty(), "no passive config, no ledgers");
     assert_eq!(resumed.total_ibr_outages(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The journal bytes of `campaign` checkpointed and killed after `rounds`
+/// rounds. Runs are deterministic, so this is also a byte-exact prefix of
+/// any longer run's journal.
+fn journal_after(campaign: &Campaign, rounds: u32) -> Vec<u8> {
+    let dir = fresh_dir("prefix");
+    run_and_kill(campaign, &dir, rounds);
+    let bytes = std::fs::read(dir.join(JOURNAL_FILE)).expect("journal");
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// One CRC-valid journal frame around `payload`, framed by
+/// `Journal::append` itself.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let path = fresh_dir("frame");
+    let mut journal = Journal::create(&path).expect("scratch journal");
+    journal.append(payload).expect("append");
+    drop(journal);
+    let bytes = std::fs::read(&path).expect("scratch journal bytes");
+    let _ = std::fs::remove_file(&path);
+    bytes[WAL_MAGIC.len()..].to_vec()
+}
+
+/// A payload no round-record decoder accepts: its version tag is foreign.
+const UNDECODABLE: [u8; 16] = [0xff; 16];
+
+/// Resumes `dir`, which must fail with a corrupt-journal error, and checks
+/// the snapshot file was left in place rather than quarantined. Returns
+/// the error's reason and recovered-record count.
+fn resume_error(campaign: &Campaign, dir: &std::path::Path) -> (String, u64) {
+    let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot before resume");
+    let err = campaign
+        .resume_with(dir, policy())
+        .expect_err("a damaged journal must not resume");
+    let FbsError::CorruptJournal {
+        reason,
+        recovered_records,
+    } = err
+    else {
+        panic!("expected a corrupt-journal error, got {err}");
+    };
+    assert_eq!(
+        std::fs::read(dir.join(SNAPSHOT_FILE)).ok(),
+        Some(snapshot),
+        "snapshot must stay in place, unchanged"
+    );
+    assert!(
+        !dir.join(format!("{SNAPSHOT_FILE}.quarantined")).exists(),
+        "snapshot must not be quarantined"
+    );
+    (reason, recovered_records)
+}
+
+#[test]
+fn undecodable_record_before_the_snapshot_fails_resume() {
+    // Records the snapshot already covers are still decoded: a CRC-valid
+    // record no decoder accepts is damage wherever it sits.
+    let campaign = chaos_campaign();
+    let dir = fresh_dir("undecodable");
+    run_and_kill(&campaign, &dir, 168); // snapshot at 168
+    let mut wal = journal_after(&campaign, 100);
+    wal.extend(frame(&UNDECODABLE));
+    std::fs::write(dir.join(JOURNAL_FILE), &wal).unwrap();
+
+    let (reason, recovered) = resume_error(&campaign, &dir);
+    assert!(reason.starts_with("record 100 undecodable: "), "{reason}");
+    assert_eq!(recovered, 100);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn duplicated_record_fails_resume_as_not_contiguous() {
+    let campaign = chaos_campaign();
+    let dir = fresh_dir("duplicate");
+    run_and_kill(&campaign, &dir, 168); // snapshot at 168
+    let wal_100 = journal_after(&campaign, 100);
+    let wal_99 = journal_after(&campaign, 99);
+    // Append round 99's frame a second time, before the snapshot round.
+    let mut wal = wal_100.clone();
+    wal.extend_from_slice(&wal_100[wal_99.len()..]);
+    std::fs::write(dir.join(JOURNAL_FILE), &wal).unwrap();
+
+    let (reason, recovered) = resume_error(&campaign, &dir);
+    assert_eq!(
+        reason,
+        "record 100 describes round 99, journal is not contiguous"
+    );
+    assert_eq!(recovered, 100);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn journal_longer_than_the_campaign_fails_resume() {
+    // A finished 600-round checkpoint resumed by a 400-round campaign of
+    // the same world: every record decodes and is contiguous, there are
+    // just too many of them.
+    let dir = fresh_dir("long");
+    chaos_campaign()
+        .run_checkpointed(&dir, policy())
+        .expect("checkpointed run");
+
+    let (reason, recovered) = resume_error(&chaos_campaign_of(400), &dir);
+    assert_eq!(reason, "journal holds 600 records for a 400-round campaign");
+    assert_eq!(recovered, 600);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn logic_invalid_snapshot_is_kept_when_the_journal_is_damaged() {
+    // A snapshot that passes its container checks but does not decode is
+    // quarantined only once the journal has proven it can rebuild the
+    // state; a journal that cannot leaves the snapshot where it was.
+    let campaign = chaos_campaign();
+    let baseline = format!("{:?}", campaign.run().expect("uninterrupted run"));
+    let dir = fresh_dir("logic-snap");
+    run_and_kill(&campaign, &dir, 100); // snapshot at 84
+    write_snapshot(dir.join(SNAPSHOT_FILE), 2, b"not a pipeline state").unwrap();
+    let intact = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+    let mut wal = intact.clone();
+    wal.extend(frame(&UNDECODABLE));
+    std::fs::write(dir.join(JOURNAL_FILE), &wal).unwrap();
+
+    let (reason, recovered) = resume_error(&campaign, &dir);
+    assert!(reason.starts_with("record 100 undecodable: "), "{reason}");
+    assert_eq!(recovered, 100);
+
+    // Control: with the journal intact again the same snapshot is
+    // quarantined and the journal alone rebuilds the report.
+    std::fs::write(dir.join(JOURNAL_FILE), &intact).unwrap();
+    let (resumed, diag) = campaign
+        .resume_with(&dir, policy())
+        .expect("resume over a logic-invalid snapshot");
+    assert_eq!(format!("{resumed:?}"), baseline);
+    assert!(!diag.snapshot_loaded);
+    assert!(diag.snapshot_quarantined.expect("quarantined").exists());
+    assert_eq!(diag.replayed_rounds, 100, "journal replayed from round 0");
     let _ = std::fs::remove_dir_all(&dir);
 }
