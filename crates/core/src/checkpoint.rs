@@ -22,6 +22,13 @@
 //! `state.snap.quarantined` and the journal is replayed from round 0 (the
 //! journal is never compacted, precisely so that it alone can rebuild the
 //! full state).
+//!
+//! Resume is one streaming pass. [`CheckpointStore::read_snapshot`] reads
+//! the snapshot and the runner decodes it first; then
+//! [`CheckpointStore::open`] streams the journal frame by frame, and every
+//! record is CRC-verified, decoded and contiguity-checked, but only those
+//! past the snapshot are applied, each dropped after use. Resume memory is
+//! therefore one snapshot plus one frame, whatever the journal's length.
 
 use crate::pipeline::PipelineState;
 use fbs_feeds::FeedQuarantine;
@@ -576,16 +583,8 @@ pub struct ResumeDiagnostics {
     pub snapshot_foreign_version: Option<u32>,
 }
 
-/// What [`CheckpointStore::open`] recovers from a checkpoint directory:
-/// the store itself, the snapshot schema version and payload if a valid
-/// one was present, the recovered journal record payloads, and the
-/// recovery diagnostics.
-pub(crate) type OpenedCheckpoint = (
-    CheckpointStore,
-    Option<(u32, Vec<u8>)>,
-    Vec<Vec<u8>>,
-    ResumeDiagnostics,
-);
+/// A validated snapshot's schema version and payload bytes.
+pub(crate) type SnapshotPayload = (u32, Vec<u8>);
 
 /// The open checkpoint directory a running campaign appends to.
 pub(crate) struct CheckpointStore {
@@ -610,13 +609,13 @@ impl CheckpointStore {
         })
     }
 
-    /// Opens an existing checkpoint directory (creating it if absent),
-    /// recovering the journal and validating the snapshot.
+    /// Reads and validates the snapshot in `dir` (creating `dir` if
+    /// absent): the first half of opening a checkpoint directory.
     ///
-    /// Returns the store, the snapshot payload if a valid one was present
-    /// (already version-checked), the recovered journal record payloads,
-    /// and diagnostics. A corrupt snapshot is quarantined, not fatal.
-    pub fn open(dir: &Path, policy: CheckpointPolicy) -> Result<OpenedCheckpoint> {
+    /// Returns the snapshot schema version and payload if a valid one was
+    /// present (already version-checked), and the diagnostics so far. A
+    /// corrupt or foreign snapshot is quarantined, not fatal.
+    pub fn read_snapshot(dir: &Path) -> Result<(Option<SnapshotPayload>, ResumeDiagnostics)> {
         std::fs::create_dir_all(dir)?;
         let snapshot_path = dir.join(SNAPSHOT_FILE);
         let mut diagnostics = ResumeDiagnostics::default();
@@ -646,19 +645,26 @@ impl CheckpointStore {
             }
             Err(e) => return Err(e),
         };
+        Ok((snapshot_payload, diagnostics))
+    }
 
-        let (journal, records, recovery) = Journal::open(dir.join(JOURNAL_FILE))?;
-        diagnostics.journal = recovery;
-
+    /// Opens the journal in `dir`, the second half of opening a checkpoint
+    /// directory: recovers its valid prefix and streams each record
+    /// payload through `visit` in append order, one frame at a time (see
+    /// [`Journal::open`]).
+    pub fn open(
+        dir: &Path,
+        policy: CheckpointPolicy,
+        visit: impl FnMut(u64, &[u8]) -> Result<()>,
+    ) -> Result<(Self, JournalRecovery)> {
+        let (journal, recovery) = Journal::open(dir.join(JOURNAL_FILE), visit)?;
         Ok((
             CheckpointStore {
                 journal,
-                snapshot_path,
+                snapshot_path: dir.join(SNAPSHOT_FILE),
                 policy,
             },
-            snapshot_payload,
-            records,
-            diagnostics,
+            recovery,
         ))
     }
 
@@ -1036,7 +1042,13 @@ mod tests {
             let dir = base.join(format!("accept-{v}"));
             std::fs::create_dir_all(&dir).unwrap();
             write_snapshot(dir.join(SNAPSHOT_FILE), v, b"payload").unwrap();
-            let (_store, snapshot, records, diag) = CheckpointStore::open(&dir, policy).unwrap();
+            let (snapshot, diag) = CheckpointStore::read_snapshot(&dir).unwrap();
+            let mut records = Vec::new();
+            CheckpointStore::open(&dir, policy, |_, raw| {
+                records.push(raw.to_vec());
+                Ok(())
+            })
+            .unwrap();
             assert_eq!(snapshot, Some((v, b"payload".to_vec())));
             assert!(records.is_empty());
             assert!(diag.snapshot_loaded, "v{v} snapshot must load");
@@ -1049,7 +1061,7 @@ mod tests {
             let dir = base.join(format!("reject-{v}"));
             std::fs::create_dir_all(&dir).unwrap();
             write_snapshot(dir.join(SNAPSHOT_FILE), v, b"payload").unwrap();
-            let (_store, snapshot, _records, diag) = CheckpointStore::open(&dir, policy).unwrap();
+            let (snapshot, diag) = CheckpointStore::read_snapshot(&dir).unwrap();
             assert_eq!(snapshot, None, "v{v} must not load");
             assert!(!diag.snapshot_loaded);
             assert_eq!(diag.snapshot_foreign_version, Some(v));

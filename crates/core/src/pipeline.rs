@@ -201,16 +201,34 @@ impl Campaign {
         policy: CheckpointPolicy,
     ) -> fbs_types::Result<CampaignRunner<'_>> {
         let statics = Statics::build(self)?;
-        let (mut store, snapshot_payload, raw_records, mut diagnostics) =
-            CheckpointStore::open(dir, policy)?;
 
-        // Decode and contiguity-check the recovered journal. The WAL layer
-        // already CRC-validated every payload, so a decode failure here is
-        // logic-level corruption (foreign file, schema mismatch).
-        let mut records: Vec<RoundRecord> = Vec::with_capacity(raw_records.len());
-        for (i, raw) in raw_records.iter().enumerate() {
+        // Decode the snapshot before the journal is read: the state it
+        // restores decides which records replay, so the journal can then be
+        // streamed one record at a time. Decoding has no side effects. A
+        // payload that does not decode (or does not match this world) is
+        // quarantined only once the journal scan has succeeded, and the
+        // journal alone then rebuilds the state.
+        let (snapshot, mut diagnostics) = CheckpointStore::read_snapshot(dir)?;
+        let restored =
+            snapshot.map(|(version, payload)| decode_state(&payload, version, &statics).ok());
+        let snapshot_invalid = matches!(restored, Some(None));
+        let mut state = restored
+            .flatten()
+            .unwrap_or_else(|| initial_state(&self.world, &self.config, &statics));
+        let completed = u64::from(state.cursor.completed());
+        let rounds = u64::from(statics.rounds);
+
+        // Stream the journal. Every record is decoded and contiguity-checked,
+        // the ones the snapshot already covers included. The WAL layer has
+        // CRC-validated each payload, so a decode failure here is
+        // logic-level corruption (foreign file, schema mismatch). Records
+        // past the snapshot are applied as they stream by; the first apply
+        // error is held back so that a decode, contiguity or length error
+        // anywhere in the journal still takes precedence over it.
+        let mut replay = Ok(());
+        let (mut store, recovery) = CheckpointStore::open(dir, policy, |i, raw| {
             let record = RoundRecord::decode(raw).map_err(|e| {
-                FbsError::corrupt_journal(format!("record {i} undecodable: {e}"), i as u64)
+                FbsError::corrupt_journal(format!("record {i} undecodable: {e}"), i)
             })?;
             if record.round != Round(i as u32) {
                 return Err(FbsError::corrupt_journal(
@@ -218,53 +236,37 @@ impl Campaign {
                         "record {i} describes round {}, journal is not contiguous",
                         record.round.0
                     ),
-                    i as u64,
+                    i,
                 ));
             }
-            records.push(record);
-        }
-        if records.len() as u64 > statics.rounds as u64 {
-            return Err(FbsError::corrupt_journal(
-                format!(
-                    "journal holds {} records for a {}-round campaign",
-                    records.len(),
-                    statics.rounds
-                ),
-                records.len() as u64,
-            ));
-        }
-
-        // Load the snapshot if one survived validation; a payload that does
-        // not decode (or does not match this world) is quarantined and the
-        // journal alone rebuilds the state.
-        let mut state = None;
-        if let Some((version, payload)) = snapshot_payload {
-            match decode_state(&payload, version, &statics) {
-                Ok(s) => state = Some(s),
-                Err(_) => {
-                    diagnostics.snapshot_loaded = false;
-                    diagnostics.snapshot_quarantined = store.quarantine_snapshot_file()?;
-                }
-            }
-        }
-        let mut state = state.unwrap_or_else(|| initial_state(&self.world, &self.config, &statics));
-
-        let completed = state.cursor.completed() as usize;
-        if records.len() < completed {
-            // The journal lags the snapshot (its tail was truncated after
-            // the snapshot was written). The missing rounds are already in
-            // the state; re-measure them — determinism makes the records
-            // identical — and heal the journal so it stays authoritative.
-            for i in records.len()..completed {
-                let record = measure_round(&self.world, &self.config, &statics, Round(i as u32));
-                store.append(&record)?;
-                diagnostics.healed_rounds += 1;
-            }
-        } else {
-            for record in &records[completed..] {
-                apply_round(&self.world, &self.config, &statics, &mut state, record)?;
+            if (completed..rounds).contains(&i) && replay.is_ok() {
+                replay = apply_round(&self.world, &self.config, &statics, &mut state, &record);
                 diagnostics.replayed_rounds += 1;
             }
+            Ok(())
+        })?;
+        diagnostics.journal = recovery;
+        let records = diagnostics.journal.records;
+        if records > rounds {
+            return Err(FbsError::corrupt_journal(
+                format!("journal holds {records} records for a {rounds}-round campaign"),
+                records,
+            ));
+        }
+        if snapshot_invalid {
+            diagnostics.snapshot_loaded = false;
+            diagnostics.snapshot_quarantined = store.quarantine_snapshot_file()?;
+        }
+        replay?;
+
+        // The journal lags the snapshot (its tail was truncated after the
+        // snapshot was written). The missing rounds are already in the
+        // state; re-measure them — determinism makes the records identical
+        // — and heal the journal so it stays authoritative.
+        for i in records..completed {
+            let record = measure_round(&self.world, &self.config, &statics, Round(i as u32));
+            store.append(&record)?;
+            diagnostics.healed_rounds += 1;
         }
 
         let shard_wall_ns = vec![0u64; statics.shard.n_shards()];
@@ -1722,10 +1724,9 @@ fn apply_round(
                 None => state.non_regional_monthly.entry(month).or_default(),
             };
             tally.regional_blocks += 1;
-            tally.regional_ips += state.pool[bi].max(world.blocks()[bi].geo_population.min(
-                // approximate monthly DB population by decayed spec
-                world.blocks()[bi].geo_population,
-            )) as u64;
+            // The block's address count: its ever-active pool this month,
+            // or its geolocation-DB population when that is larger.
+            tally.regional_ips += state.pool[bi].max(world.blocks()[bi].geo_population) as u64;
             if state.fbs_eligible[bi] {
                 tally.fbs_eligible += 1;
             }

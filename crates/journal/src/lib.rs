@@ -7,7 +7,8 @@
 //!
 //! - [`Journal`] — an append-only write-ahead log of per-round records,
 //!   each length-prefixed and CRC-32 checksummed. Opening a journal
-//!   recovers the longest valid prefix: torn or bit-corrupted tails are
+//!   recovers the longest valid prefix, streaming each record through a
+//!   visitor one frame at a time: torn or bit-corrupted tails are
 //!   physically truncated away, and a file with a damaged header is
 //!   quarantined (renamed to `<name>.quarantined`) rather than trusted or
 //!   deleted.

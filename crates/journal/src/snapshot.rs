@@ -102,7 +102,10 @@ pub fn read_snapshot(path: impl AsRef<Path>) -> Result<Option<(u32, Vec<u8>)>> {
             "payload checksum mismatch".to_string(),
         ));
     }
-    Ok(Some((version, payload.to_vec())))
+    // Strip the header in place: the caller gets the one copy of the
+    // payload the read already made, not a second one.
+    bytes.drain(..HEADER_LEN);
+    Ok(Some((version, bytes)))
 }
 
 /// Moves a damaged snapshot aside to `<name>.quarantined`, returning the

@@ -14,7 +14,9 @@
 //! torn final frame. [`Journal::open`] scans the record stream from the
 //! start and stops at the first frame that is truncated, oversized, or
 //! fails its CRC; everything after that point is discarded by physically
-//! truncating the file, and scanning resumes from a clean tail. A file
+//! truncating the file, and scanning resumes from a clean tail. The scan
+//! streams: each valid record is handed to a caller-supplied visitor as
+//! it is read, so recovery memory is one frame, not the journal. A file
 //! whose *header* is damaged can't be trusted at all — it is renamed to
 //! `<name>.quarantined` (preserved for forensics, never silently deleted)
 //! and a fresh journal is started in its place.
@@ -22,7 +24,7 @@
 use crate::crc32::crc32;
 use fbs_types::{FbsError, Result};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Format magic: name + version, bumped on incompatible layout changes.
@@ -33,6 +35,10 @@ pub const WAL_MAGIC: &[u8; 8] = b"FBSWAL01";
 pub const MAX_RECORD_LEN: u32 = 1 << 30;
 
 const FRAME_HEADER_LEN: usize = 8; // len u32 + crc u32
+
+/// Capacity of the buffer [`Journal::open`] reads frames through. Larger
+/// payloads bypass it and are read straight into the reused frame buffer.
+const READ_BUFFER_LEN: usize = 64 << 10;
 
 /// What [`Journal::open`] had to do to produce a clean journal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -81,27 +87,43 @@ impl Journal {
         })
     }
 
-    /// Opens the journal at `path`, recovering whatever prefix is valid.
+    /// Opens the journal at `path`, recovering whatever prefix is valid and
+    /// streaming it through `visit`.
     ///
-    /// Returns the journal (positioned for appending), the payloads of all
-    /// recovered records in append order, and a [`JournalRecovery`]
-    /// describing any repairs. A missing file is created fresh; a torn or
-    /// bit-corrupted tail is truncated away; a file with a damaged header
-    /// is quarantined and replaced. None of these cases is an error —
-    /// `Err` is reserved for real I/O failures.
-    pub fn open(path: impl AsRef<Path>) -> Result<(Self, Vec<Vec<u8>>, JournalRecovery)> {
+    /// Every recovered record is handed to `visit` as `(index, payload)` in
+    /// append order. Frames are read through one reused buffer and no
+    /// payload outlives its visit, so recovery holds one frame in memory
+    /// whatever the journal's length. Returns the journal (positioned for
+    /// appending) and a [`JournalRecovery`] describing any repairs. A
+    /// missing file is created fresh; a torn or bit-corrupted tail is
+    /// truncated away; a file with a damaged header is quarantined and
+    /// replaced without a single visit. None of these cases is an error —
+    /// `Err` is reserved for real I/O failures and for the first error
+    /// `visit` returns. That error stops the visits, but the scan still runs
+    /// to the end of the valid prefix and truncates the torn tail before
+    /// the error is returned.
+    pub fn open(
+        path: impl AsRef<Path>,
+        mut visit: impl FnMut(u64, &[u8]) -> Result<()>,
+    ) -> Result<(Self, JournalRecovery)> {
         let path = path.as_ref().to_path_buf();
         if !path.exists() {
-            return Ok((Self::create(&path)?, Vec::new(), JournalRecovery::default()));
+            return Ok((Self::create(&path)?, JournalRecovery::default()));
         }
 
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
+        let file_len = file.metadata()?.len();
+        let mut reader = BufReader::with_capacity(READ_BUFFER_LEN, &file);
 
-        if bytes.len() < WAL_MAGIC.len() || &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        let mut magic = [0u8; WAL_MAGIC.len()];
+        let header_intact = file_len >= WAL_MAGIC.len() as u64 && {
+            reader.read_exact(&mut magic)?;
+            &magic == WAL_MAGIC
+        };
+        if !header_intact {
             // Header damage: nothing in the file can be trusted. Move it
             // aside and start over.
+            drop(reader);
             drop(file);
             let quarantine = quarantine_path(&path);
             std::fs::rename(&path, &quarantine)?;
@@ -109,59 +131,64 @@ impl Journal {
             let journal = Self::create(&path)?;
             return Ok((
                 journal,
-                Vec::new(),
                 JournalRecovery {
                     records: 0,
-                    dropped_bytes: bytes.len() as u64,
+                    dropped_bytes: file_len,
                     quarantined: Some(quarantine),
                 },
             ));
         }
 
-        let mut payloads = Vec::new();
-        let mut pos = WAL_MAGIC.len();
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        let mut payload = Vec::new();
+        let mut visited = Ok(());
+        let mut records = 0u64;
+        let mut pos = WAL_MAGIC.len() as u64;
         loop {
-            let rest = bytes.len() - pos;
+            let rest = file_len - pos;
             if rest == 0 {
                 break; // clean end
             }
-            if rest < FRAME_HEADER_LEN {
+            if rest < FRAME_HEADER_LEN as u64 {
                 break; // torn frame header
             }
-            // fbs-lint: allow(panic-in-pipeline) fixed-width slice, rest >= FRAME_HEADER_LEN checked above
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len 4"));
-            // fbs-lint: allow(panic-in-pipeline) fixed-width slice, rest >= FRAME_HEADER_LEN checked above
-            let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("len 4"));
+            reader.read_exact(&mut header)?;
+            let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+            let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
             if len > MAX_RECORD_LEN {
                 break; // corrupt length prefix
             }
-            let len = len as usize;
-            if rest < FRAME_HEADER_LEN + len {
+            let frame_len = FRAME_HEADER_LEN as u64 + u64::from(len);
+            if rest < frame_len {
                 break; // torn payload
             }
-            let payload = &bytes[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len];
-            if crc32(payload) != crc {
+            payload.resize(len as usize, 0);
+            reader.read_exact(&mut payload)?;
+            if crc32(&payload) != crc {
                 break; // bit corruption
             }
-            payloads.push(payload.to_vec());
-            pos += FRAME_HEADER_LEN + len;
+            if visited.is_ok() {
+                visited = visit(records, &payload);
+            }
+            records += 1;
+            pos += frame_len;
         }
+        drop(reader);
 
-        let dropped = (bytes.len() - pos) as u64;
+        let dropped = file_len - pos;
         if dropped > 0 {
-            file.set_len(pos as u64)?;
+            file.set_len(pos)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(pos as u64))?;
+        visited?;
+        file.seek(SeekFrom::Start(pos))?;
 
-        let records = payloads.len() as u64;
         Ok((
             Journal {
                 file,
                 path,
                 records,
             },
-            payloads,
             JournalRecovery {
                 records,
                 dropped_bytes: dropped,
@@ -238,6 +265,17 @@ mod tests {
         dir
     }
 
+    /// Opens `path`, collecting every visited payload in visit order.
+    fn open_collect(path: &Path) -> (Journal, Vec<Vec<u8>>, JournalRecovery) {
+        let mut payloads = Vec::new();
+        let (journal, recovery) = Journal::open(path, |_, payload| {
+            payloads.push(payload.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        (journal, payloads, recovery)
+    }
+
     #[test]
     fn append_and_reopen_roundtrip() {
         let dir = tmpdir("roundtrip");
@@ -252,7 +290,7 @@ mod tests {
         j.sync().unwrap();
         drop(j);
 
-        let (j, recovered, recovery) = Journal::open(&path).unwrap();
+        let (j, recovered, recovery) = open_collect(&path);
         assert_eq!(recovered, records);
         assert!(recovery.was_clean());
         assert_eq!(j.records(), 50);
@@ -262,12 +300,12 @@ mod tests {
     fn empty_and_missing_files_open_clean() {
         let dir = tmpdir("fresh");
         let path = dir.join("rounds.wal");
-        let (j, recs, recovery) = Journal::open(&path).unwrap();
+        let (j, recs, recovery) = open_collect(&path);
         assert!(recs.is_empty());
         assert!(recovery.was_clean());
         drop(j);
         // Reopen the (magic-only) file.
-        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        let (_, recs, recovery) = open_collect(&path);
         assert!(recs.is_empty());
         assert!(recovery.was_clean());
     }
@@ -287,7 +325,7 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 5]).unwrap();
 
-        let (j, recs, recovery) = Journal::open(&path).unwrap();
+        let (j, recs, recovery) = open_collect(&path);
         assert_eq!(recs.len(), 9, "last record torn, first nine intact");
         assert_eq!(recovery.records, 9);
         assert!(recovery.dropped_bytes > 0);
@@ -295,7 +333,7 @@ mod tests {
         drop(j);
 
         // The truncation is physical: a second open is clean.
-        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        let (_, recs, recovery) = open_collect(&path);
         assert_eq!(recs.len(), 9);
         assert!(recovery.was_clean());
     }
@@ -317,7 +355,7 @@ mod tests {
         bytes[offset] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        let (_, recs, recovery) = open_collect(&path);
         assert_eq!(recs.len(), 5, "records 0..5 survive, 5.. dropped");
         for (i, r) in recs.iter().enumerate() {
             assert_eq!(r, &vec![i as u8; 16]);
@@ -337,13 +375,13 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 2]).unwrap();
 
-        let (mut j, recs, _) = Journal::open(&path).unwrap();
+        let (mut j, recs, _) = open_collect(&path);
         assert_eq!(recs.len(), 3);
         j.append(&[99]).unwrap();
         j.sync().unwrap();
         drop(j);
 
-        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        let (_, recs, recovery) = open_collect(&path);
         assert!(recovery.was_clean());
         assert_eq!(recs, vec![vec![0], vec![1], vec![2], vec![99]]);
     }
@@ -354,7 +392,7 @@ mod tests {
         let path = dir.join("rounds.wal");
         std::fs::write(&path, b"NOTAWAL!some garbage").unwrap();
 
-        let (mut j, recs, recovery) = Journal::open(&path).unwrap();
+        let (mut j, recs, recovery) = open_collect(&path);
         assert!(recs.is_empty());
         let qpath = recovery.quarantined.expect("quarantined");
         assert!(qpath.exists(), "damaged original preserved");
@@ -365,7 +403,7 @@ mod tests {
         // The fresh journal is usable.
         j.append(&[1, 2, 3]).unwrap();
         drop(j);
-        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        let (_, recs, recovery) = open_collect(&path);
         assert!(recovery.was_clean());
         assert_eq!(recs, vec![vec![1, 2, 3]]);
     }
@@ -383,8 +421,135 @@ mod tests {
         bytes.extend_from_slice(&0u32.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
 
-        let (_, recs, recovery) = Journal::open(&path).unwrap();
+        let (_, recs, recovery) = open_collect(&path);
         assert_eq!(recs.len(), 1);
         assert_eq!(recovery.dropped_bytes, 8);
+    }
+
+    #[test]
+    fn records_are_visited_in_order_with_their_indices() {
+        let dir = tmpdir("order");
+        let path = dir.join("rounds.wal");
+        let mut j = Journal::create(&path).unwrap();
+        for i in 0u8..20 {
+            j.append(&[i; 3]).unwrap();
+        }
+        drop(j);
+
+        let mut visits = Vec::new();
+        let (j, recovery) = Journal::open(&path, |index, payload| {
+            visits.push((index, payload.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        let expected: Vec<(u64, Vec<u8>)> = (0u8..20).map(|i| (i as u64, vec![i; 3])).collect();
+        assert_eq!(visits, expected);
+        assert_eq!(recovery.records, 20);
+        assert_eq!(j.records(), 20);
+    }
+
+    #[test]
+    fn payload_larger_than_the_read_buffer_roundtrips() {
+        let dir = tmpdir("large");
+        let path = dir.join("rounds.wal");
+        let big: Vec<u8> = (0..(3usize << 19)).map(|i| (i % 251) as u8).collect();
+        assert!(big.len() >= 1 << 20 && big.len() > READ_BUFFER_LEN);
+        let records = vec![vec![1u8; 5], big.clone(), vec![2u8; 7], big.clone()];
+        let mut j = Journal::create(&path).unwrap();
+        for r in &records {
+            j.append(r).unwrap();
+        }
+        drop(j);
+
+        let (_, recovered, recovery) = open_collect(&path);
+        assert_eq!(recovered, records);
+        assert!(recovery.was_clean());
+
+        // Tear the last large frame mid-payload: the three records before
+        // it, one of them large, survive byte for byte.
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - big.len() / 2]).unwrap();
+        let (_, recovered, recovery) = open_collect(&path);
+        assert_eq!(recovered, records[..3].to_vec());
+        assert_eq!(
+            recovery.dropped_bytes,
+            (FRAME_HEADER_LEN + big.len() - big.len() / 2) as u64
+        );
+
+        // A large frame right before a torn small one survives too.
+        let mut j = Journal::open(&path, |_, _| Ok(())).unwrap().0;
+        j.append(&big).unwrap();
+        j.append(&[3u8; 9]).unwrap();
+        drop(j);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 4]).unwrap();
+        let (_, recovered, recovery) = open_collect(&path);
+        assert_eq!(recovered, [&records[..3], &[big][..]].concat());
+        assert_eq!(recovery.dropped_bytes, (FRAME_HEADER_LEN + 9 - 4) as u64);
+    }
+
+    #[test]
+    fn visitor_error_propagates_and_the_torn_tail_is_still_truncated() {
+        let dir = tmpdir("visit-err");
+        let path = dir.join("rounds.wal");
+        let mut j = Journal::create(&path).unwrap();
+        for i in 0u8..10 {
+            j.append(&[i; 16]).unwrap();
+        }
+        drop(j);
+        let full = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
+
+        let mut visits = Vec::new();
+        let err = Journal::open(&path, |index, _| {
+            visits.push(index);
+            if index == 3 {
+                Err(FbsError::Io {
+                    reason: "visitor refused record 3".into(),
+                })
+            } else {
+                Ok(())
+            }
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            FbsError::Io {
+                reason: "visitor refused record 3".into(),
+            }
+        );
+        assert_eq!(visits, vec![0, 1, 2, 3], "no visits after the error");
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            (full.len() - (FRAME_HEADER_LEN + 16)) as u64,
+            "torn tail truncated despite the visitor error"
+        );
+        let (_, recs, recovery) = open_collect(&path);
+        assert!(recovery.was_clean());
+        assert_eq!(recs.len(), 9);
+    }
+
+    #[test]
+    fn damaged_header_is_quarantined_with_zero_visits() {
+        let dir = tmpdir("header-visits");
+        let path = dir.join("rounds.wal");
+        let mut j = Journal::create(&path).unwrap();
+        j.append(&[5; 32]).unwrap();
+        drop(j);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut visits = 0u32;
+        let (j, recovery) = Journal::open(&path, |_, _| {
+            visits += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(visits, 0);
+        assert_eq!(recovery.records, 0);
+        assert_eq!(recovery.dropped_bytes, bytes.len() as u64);
+        assert_eq!(std::fs::read(recovery.quarantined.unwrap()).unwrap(), bytes);
+        assert_eq!(j.records(), 0);
     }
 }

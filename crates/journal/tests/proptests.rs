@@ -7,10 +7,10 @@
 //! the appended records, byte-for-byte, and (c) never yields a phantom
 //! record that was not appended.
 
-use fbs_journal::Journal;
+use fbs_journal::{Journal, JournalRecovery};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -33,6 +33,17 @@ fn build_journal(tag: &str, records: &[Vec<u8>]) -> PathBuf {
     }
     journal.sync().unwrap();
     path
+}
+
+/// Reopens the journal at `path`, collecting every visited payload.
+fn recover(path: &Path) -> (Vec<Vec<u8>>, JournalRecovery) {
+    let mut payloads = Vec::new();
+    let (_, recovery) = Journal::open(path, |_, payload| {
+        payloads.push(payload.to_vec());
+        Ok(())
+    })
+    .unwrap();
+    (payloads, recovery)
 }
 
 /// Asserts `recovered` is a byte-exact prefix of `original`.
@@ -59,14 +70,14 @@ proptest! {
         let cut = (cut_seed % (full.len() as u64 + 1)) as usize;
         std::fs::write(&path, &full[..cut]).unwrap();
 
-        let (_, recovered, recovery) = Journal::open(&path).unwrap();
+        let (recovered, recovery) = recover(&path);
         assert_prefix(&recovered, &records);
         prop_assert_eq!(recovery.records, recovered.len() as u64);
         // Cutting inside the 8-byte magic quarantines; otherwise the file
         // is repaired in place and a reopen must be clean.
         if cut >= 8 {
             prop_assert!(recovery.quarantined.is_none());
-            let (_, again, recovery2) = Journal::open(&path).unwrap();
+            let (again, recovery2) = recover(&path);
             prop_assert!(recovery2.was_clean());
             prop_assert_eq!(again.len(), recovered.len());
         }
@@ -85,7 +96,7 @@ proptest! {
         bytes[offset] ^= 1u8 << bit;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (_, recovered, recovery) = Journal::open(&path).unwrap();
+        let (recovered, recovery) = recover(&path);
         assert_prefix(&recovered, &records);
         prop_assert_eq!(recovery.records, recovered.len() as u64);
         if offset >= 8 {
@@ -115,7 +126,7 @@ proptest! {
         records in vec(vec(any::<u8>(), 0..128usize), 0..24usize),
     ) {
         let path = build_journal("clean", &records);
-        let (_, recovered, recovery) = Journal::open(&path).unwrap();
+        let (recovered, recovery) = recover(&path);
         prop_assert!(recovery.was_clean());
         prop_assert_eq!(recovered, records);
         let _ = std::fs::remove_file(&path);
