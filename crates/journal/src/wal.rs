@@ -65,6 +65,10 @@ pub struct Journal {
     file: File,
     path: PathBuf,
     records: u64,
+    /// The frame [`Journal::append`] assembles, reused across appends so a
+    /// steady run allocates no per-record buffer; its capacity settles at
+    /// the largest frame written.
+    frame: Vec<u8>,
 }
 
 impl Journal {
@@ -84,6 +88,7 @@ impl Journal {
             file,
             path,
             records: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -188,6 +193,7 @@ impl Journal {
                 file,
                 path,
                 records,
+                frame: Vec::new(),
             },
             JournalRecovery {
                 records,
@@ -210,11 +216,12 @@ impl Journal {
                 ),
             });
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
+        self.frame.clear();
+        self.frame
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        self.frame.extend_from_slice(payload);
+        self.file.write_all(&self.frame)?;
         self.records += 1;
         Ok(())
     }
@@ -486,6 +493,28 @@ mod tests {
         let (_, recovered, recovery) = open_collect(&path);
         assert_eq!(recovered, [&records[..3], &[big][..]].concat());
         assert_eq!(recovery.dropped_bytes, (FRAME_HEADER_LEN + 9 - 4) as u64);
+    }
+
+    #[test]
+    fn reused_frame_buffer_leaves_no_stale_bytes() {
+        let dir = tmpdir("reuse");
+        let path = dir.join("rounds.wal");
+        let big = vec![0xAB; 4096];
+        let small = vec![0x11; 5];
+        let mut j = Journal::create(&path).unwrap();
+        j.append(&big).unwrap();
+        j.append(&small).unwrap();
+        j.append(&[]).unwrap();
+        drop(j);
+
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(
+            bytes.len(),
+            WAL_MAGIC.len() + 3 * FRAME_HEADER_LEN + big.len() + small.len()
+        );
+        let (_, recs, recovery) = open_collect(&path);
+        assert!(recovery.was_clean());
+        assert_eq!(recs, vec![big, small, Vec::new()]);
     }
 
     #[test]

@@ -14,10 +14,13 @@
 //!   responder, backscatter share, and scheduled *dark-darknet* windows
 //!   (the collector itself failing — the passive path's own outage mode);
 //! * [`block_volume`] — the deterministic per-block emitter. Volume is
-//!   driven by [`World::block_truth`]'s responsive count, so diurnal
-//!   cycles, power blackouts, scripted war events and BGP withdrawals all
-//!   modulate the radiation exactly as they modulate reachability — and an
-//!   unrouted block radiates nothing (its packets cannot leave).
+//!   driven by the responsive count of the round's [`BlockTruth`] — the
+//!   same value the round's scans consume, computed once per block-round
+//!   by [`World::block_truth`](crate::World::block_truth) and shared — so
+//!   diurnal cycles, power blackouts, scripted war events and BGP
+//!   withdrawals all modulate the radiation exactly as they modulate
+//!   reachability, and an unrouted block radiates nothing (its packets
+//!   cannot leave).
 //!
 //! Determinism: every noise draw comes from the world RNG's **`"ibr"`
 //! domain**, disjoint from `"faults"`, `"feeds"`, `"vantage-faults"` and
@@ -26,7 +29,7 @@
 
 use crate::rng::WorldRng;
 use crate::schedule::{check_probability, Schedule, Window};
-use crate::world::World;
+use crate::world::BlockTruth;
 use fbs_types::Round;
 use serde::{Deserialize, Serialize};
 
@@ -110,8 +113,9 @@ pub fn ibr_domain(world_rng: WorldRng) -> WorldRng {
     world_rng.domain("ibr")
 }
 
-/// The unsolicited packet volume one block radiates toward the darknet at
-/// `round` — deterministic in `(seed, round, block)`.
+/// The unsolicited packet volume block `bi` radiates toward the darknet at
+/// `round`, given that block-round's ground `truth` — deterministic in
+/// `(seed, round, block)`.
 ///
 /// Shape: `responsive × rate × gain`, where `responsive` is the world's
 /// ground-truth live count (already carrying diurnal seasonality, power
@@ -120,13 +124,12 @@ pub fn ibr_domain(world_rng: WorldRng) -> WorldRng {
 /// occasional backscatter burst. An unrouted block contributes zero: its
 /// packets cannot reach the collector.
 pub fn block_volume(
-    world: &World,
+    truth: &BlockTruth,
     cfg: &IbrConfig,
     rng: &WorldRng,
     round: Round,
     bi: usize,
 ) -> u64 {
-    let truth = world.block_truth(round, bi);
     if !truth.routed || truth.responsive == 0 {
         return 0;
     }
@@ -157,7 +160,13 @@ mod tests {
     use super::*;
     use crate::script::{EventKind, EventTarget, Script, ScriptedEvent};
     use crate::spec::{AsProfile, AsSpec, BlockSpec, WorldConfig, WorldScale};
+    use crate::world::World;
     use fbs_types::{Asn, Oblast, Prefix, CAMPAIGN_START};
+
+    /// The volume of block `bi` at `round`, from the world's truth.
+    fn volume(w: &World, cfg: &IbrConfig, rng: &WorldRng, round: Round, bi: usize) -> u64 {
+        block_volume(&w.block_truth(round, bi), cfg, rng, round, bi)
+    }
 
     fn world(script: Script) -> World {
         let prefix: Prefix = "193.151.240.0/23".parse().unwrap();
@@ -224,12 +233,12 @@ mod tests {
         let rng = ibr_domain(w.rng());
         for r in [0u32, 7, 100, 599] {
             for bi in 0..w.blocks().len() {
-                let a = block_volume(&w, &cfg, &rng, Round(r), bi);
-                let b = block_volume(&w, &cfg, &rng, Round(r), bi);
+                let a = volume(&w, &cfg, &rng, Round(r), bi);
+                let b = volume(&w, &cfg, &rng, Round(r), bi);
                 assert_eq!(a, b);
             }
         }
-        assert!(block_volume(&w, &cfg, &rng, Round(6), 0) > 0);
+        assert!(volume(&w, &cfg, &rng, Round(6), 0) > 0);
     }
 
     #[test]
@@ -259,8 +268,8 @@ mod tests {
         let rng = ibr_domain(w.rng());
         let before = Round(9 * 12);
         let during = Round(11 * 12);
-        assert!(block_volume(&w, &cfg, &rng, before, 0) > 0);
-        assert_eq!(block_volume(&w, &cfg, &rng, during, 0), 0);
+        assert!(volume(&w, &cfg, &rng, before, 0) > 0);
+        assert_eq!(volume(&w, &cfg, &rng, during, 0), 0);
     }
 
     #[test]
@@ -273,8 +282,8 @@ mod tests {
         let mut night = 0u64;
         let mut day = 0u64;
         for d in 0..40u32 {
-            night += block_volume(&w, &cfg, &rng, Round(d * 12 + 1), 0);
-            day += block_volume(&w, &cfg, &rng, Round(d * 12 + 6), 0);
+            night += volume(&w, &cfg, &rng, Round(d * 12 + 1), 0);
+            day += volume(&w, &cfg, &rng, Round(d * 12 + 6), 0);
         }
         assert!(night < day, "night {night} vs day {day}");
     }
@@ -291,11 +300,8 @@ mod tests {
             rate_per_responder: 40.0,
             ..IbrConfig::default()
         };
-        let sum = |cfg: &IbrConfig| -> u64 {
-            (0..60)
-                .map(|r| block_volume(&w, cfg, &rng, Round(r), 0))
-                .sum()
-        };
+        let sum =
+            |cfg: &IbrConfig| -> u64 { (0..60).map(|r| volume(&w, cfg, &rng, Round(r), 0)).sum() };
         assert!(sum(&hi) > 5 * sum(&lo));
     }
 }

@@ -1,14 +1,18 @@
 //! The assembled world: truth queries, BGP log, data-source exports.
 //!
 //! Truth queries run tens of millions of times per campaign, so the world
-//! precompiles two lookup structures at construction:
+//! precompiles three lookup structures at construction:
 //!
 //! * **per-block modifier timelines** — every scripted event is distributed
 //!   to the blocks it touches (by block, AS, region or country), leaving
 //!   each block with small sorted interval lists that answer "am I
 //!   unreachable / scaled / rerouted at round r" with a binary search;
 //! * **a per-round power bitmask** — one `u32` of oblast bits per round,
-//!   so the blackout check is a single AND in the hot path.
+//!   so the blackout check is a single AND in the hot path;
+//! * **a month-major responder-pool table** — one `u16` per block for each
+//!   month the world spans, so the pool size (which decays monthly) is a
+//!   load rather than a `powf` per query. It costs months × blocks × 2 B:
+//!   about 2 MB for a full 36-month campaign at paper scale.
 
 use crate::power::{PowerCalendar, StrikeEvent};
 use crate::rng::WorldRng;
@@ -164,6 +168,9 @@ pub struct World {
     as_index: BTreeMap<Asn, usize>,
     /// Month index per round.
     month_of_round: Vec<u16>,
+    /// Responder-pool size, month-major: entry `m * blocks.len() + bi` is
+    /// `blocks[bi].responders_at(m)`, for every month the rounds touch.
+    pools: Vec<u16>,
     /// Power-off oblast bitmask per round.
     power_mask: Vec<u32>,
     /// Vantage-offline flag per round.
@@ -195,6 +202,10 @@ impl World {
         let first_month = MonthId::campaign_first();
         let month_of_round: Vec<u16> = (0..config.rounds)
             .map(|r| (Round(r).month().0 - first_month.0) as u16)
+            .collect();
+        let n_months = month_of_round.last().map_or(0, |&m| u32::from(m) + 1);
+        let pools: Vec<u16> = (0..n_months)
+            .flat_map(|m| blocks.iter().map(move |b| b.responders_at(m)))
             .collect();
 
         // --- Compile per-block modifier timelines. ---
@@ -267,6 +278,7 @@ impl World {
             owner_idx,
             as_index,
             month_of_round,
+            pools,
             power_mask,
             vantage_offline,
         })
@@ -327,6 +339,13 @@ impl World {
         r.start.min(self.config.rounds)..r.end.min(self.config.rounds)
     }
 
+    /// The block's responder-pool size in the month of `round`
+    /// (precomputed).
+    #[inline]
+    fn pool(&self, round: Round, bi: usize) -> u16 {
+        self.pools[self.month_index(round) as usize * self.blocks.len() + bi]
+    }
+
     /// Whether the oblast's grid is down at `round` (precomputed).
     #[inline]
     pub fn power_off(&self, oblast: Oblast, round: Round) -> bool {
@@ -365,7 +384,7 @@ impl World {
     pub fn block_truth(&self, round: Round, bi: usize) -> BlockTruth {
         let b = &self.blocks[bi];
         let routed = !self.block_down(round, bi);
-        let pool = b.responders_at(self.month_index(round));
+        let pool = self.pool(round, bi);
         if !routed || pool == 0 {
             return BlockTruth {
                 routed,
@@ -429,7 +448,7 @@ impl World {
             return ResponderBitmap::EMPTY;
         }
         let month = self.month_index(round) as u64;
-        let pool = b.responders_at(month as u32);
+        let pool = self.pool(round, bi);
         let p = self.response_prob(round, bi);
         let mut bm = ResponderBitmap::EMPTY;
         let geo = self.rng.domain("hosts");
@@ -500,7 +519,7 @@ impl World {
         for r in month_rounds {
             let round = Round(r);
             if !self.block_down(round, bi) {
-                pool = self.blocks[bi].responders_at(self.month_index(round));
+                pool = self.pool(round, bi);
                 if self.response_prob(round, bi) > 0.0 {
                     any_active = true;
                     break;
@@ -885,6 +904,30 @@ mod tests {
         // March (partially pre-outage) still counts for Status.
         let march = MonthId::new(2022, 3).campaign_rounds();
         assert_eq!(w.ever_active(march, sbi(&w, 0)), 40);
+    }
+
+    #[test]
+    fn pool_table_matches_responders_at_every_month() {
+        // 2,400 rounds from 2022-03-02 22:00 end on 2022-09-18: the last
+        // month is partial.
+        let w = test_world(Script::new(), vec![]);
+        let last = Round(w.rounds() - 1);
+        assert_eq!(last.month(), MonthId::new(2022, 9));
+        assert_ne!(w.month_rounds(last.month()), last.month().campaign_rounds());
+        let months = w.month_index(last) as usize + 1;
+        let n = w.blocks().len();
+        assert_eq!(months, 7);
+        assert_eq!(w.pools.len(), months * n);
+        for m in 0..months {
+            for (bi, b) in w.blocks().iter().enumerate() {
+                assert_eq!(w.pools[m * n + bi], b.responders_at(m as u32), "{m} {bi}");
+            }
+        }
+        // The truth queries read the table: the decayed pool shows up in
+        // the last month.
+        let t = w.block_truth(last, kbi(&w, 0));
+        assert_eq!(t.pool, w.blocks()[kbi(&w, 0)].responders_at(6));
+        assert!(t.pool < 60);
     }
 
     #[test]
