@@ -15,7 +15,10 @@
 //!   path latency to every probe's round trip;
 //! * the **oracle path** — the campaign loop calls
 //!   [`VantageSpec::fault_domain`] once and applies the vantage's plan to
-//!   `World::block_truth` values directly.
+//!   `World::block_truth` values directly. The truth is the round's shared
+//!   one: each block's is computed once per round and handed to every
+//!   vantage's scan and to the darknet, since all of them watch the same
+//!   world.
 
 use crate::faults::FaultPlan;
 use crate::rng::WorldRng;
